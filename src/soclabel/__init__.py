@@ -4,92 +4,9 @@ Tracks class-prediction transitions as a similarity signal, clusters the
 class space with similarity-driven k-medoids, restricts soft pseudo-labels
 to the cluster of the predicted class (with a confidence-aware cluster
 count), and trains with the resulting selected soft labels.
+
+The API lives in the submodules: import from `soclabel.labels`,
+`soclabel.clustering`, `soclabel.sim` and so on.
 """
 
-from .clustering import ClusterSet, kmedoids, pick_candidates
-from .errors import (
-    ConfigError,
-    DivergedAtIteration,
-    EmptyBatch,
-    InvalidCandidateSet,
-    InvalidClass,
-    InvalidConfidence,
-    InvalidK,
-    SchemaError,
-    ShapeMismatch,
-    SocLabelError,
-    ZeroMass,
-)
-from .kselect import KPolicy, select_k
-from .labels import (
-    CandidateSet,
-    ProbVector,
-    SelectedLabel,
-    SelectionIndicator,
-    build_indicator,
-    entropy,
-    obj1_score,
-    obj2_score,
-    select_label,
-)
-from .losses import (
-    LossReport,
-    baseline_fixmatch_loss,
-    consistency_loss,
-    cross_entropy,
-    cross_entropy_grad,
-    supervised_loss,
-    total_loss,
-)
-from .transitions import (
-    MAX_SIM,
-    UNOBSERVED,
-    BatchTransitions,
-    PredictionBank,
-    SimilarityMatrix,
-    TransitionLedger,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClusterSet",
-    "kmedoids",
-    "pick_candidates",
-    "ConfigError",
-    "DivergedAtIteration",
-    "EmptyBatch",
-    "InvalidCandidateSet",
-    "InvalidClass",
-    "InvalidConfidence",
-    "InvalidK",
-    "SchemaError",
-    "ShapeMismatch",
-    "SocLabelError",
-    "ZeroMass",
-    "KPolicy",
-    "select_k",
-    "CandidateSet",
-    "ProbVector",
-    "SelectedLabel",
-    "SelectionIndicator",
-    "build_indicator",
-    "entropy",
-    "obj1_score",
-    "obj2_score",
-    "select_label",
-    "LossReport",
-    "baseline_fixmatch_loss",
-    "consistency_loss",
-    "cross_entropy",
-    "cross_entropy_grad",
-    "supervised_loss",
-    "total_loss",
-    "MAX_SIM",
-    "UNOBSERVED",
-    "BatchTransitions",
-    "PredictionBank",
-    "SimilarityMatrix",
-    "TransitionLedger",
-    "__version__",
-]

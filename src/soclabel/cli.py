@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,10 +16,12 @@ import sys
 import numpy as np
 
 from . import labels as lb
-from .clustering import kmedoids, pick_candidates
-from .errors import ConfigError, SchemaError
+from .clustering import kmedoids, select_targets
+from .errors import ConfigError, SchemaError, SocLabelError
 from .kselect import KPolicy, select_k
+from .losses import softmax
 from .sim import (
+    build_targets,
     config_from_dict,
     entropy_vs_k,
     final_score,
@@ -68,7 +71,12 @@ def _read_log(path: str):
             if (sample_id, step) in seen:
                 raise SchemaError(f"line {lineno}: duplicate (id, step)")
             seen.add((sample_id, step))
-            records.append((step, sample_id, lb.ProbVector(probs / probs.sum())))
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p = lb.ProbVector(probs / probs.sum())
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: bad probabilities ({exc})") from exc
+            records.append((step, sample_id, p))
     if not records:
         raise SchemaError("log contains no records")
     return records, n_classes
@@ -90,11 +98,14 @@ def _replay(records, n_classes: int, window: int):
 
 
 def _policy_from_args(args, n_classes: int) -> KPolicy:
-    if args.policy == "linear":
-        return KPolicy.linear(args.alpha, n_classes)
-    if args.policy == "exp":
-        return KPolicy.exponential(args.beta, n_classes)
-    return KPolicy.fixed(args.k, n_classes)
+    try:
+        if args.policy == "linear":
+            return KPolicy.linear(args.alpha, n_classes)
+        if args.policy == "exp":
+            return KPolicy.exponential(args.beta, n_classes)
+        return KPolicy.fixed(args.k, n_classes)
+    except ValueError as exc:
+        raise ConfigError(f"--policy {args.policy}: {exc}") from exc
 
 
 def _default_seed(args) -> int:
@@ -107,32 +118,24 @@ def cmd_select(args) -> int:
     records, n_classes = _read_log(args.log)
     ledger, final_step = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
-    seed = _default_seed(args)
-    sim = ledger.similarity_matrix()
-    cache = {}
-    lines = []
-    for sample_id, p in final_step:
-        k = select_k(policy, p.confidence())
-        if k not in cache:
-            cache[k] = kmedoids(sim.values, k, seed=seed,
-                                ledger_version=sim.ledger_version)
-        candidates = pick_candidates(cache[k], p.argmax())
-        g = lb.build_indicator(candidates, n_classes)
-        selected = lb.select_label(p, g)
-        lines.append(json.dumps({
-            "id": sample_id,
-            "k": k,
-            "candidate_classes": sorted(candidates.classes),
-            "p_tilde": selected.probs.probs.tolist(),
-            "entropy_before": lb.entropy(p),
-            "entropy_after": lb.entropy(selected.probs),
-        }, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    ks = [select_k(policy, p.confidence()) for _, p in final_step]
+    targets, mask = select_targets(
+        np.stack([p.probs for _, p in final_step]),
+        ledger.similarity_matrix(),
+        ks,
+        seed=_default_seed(args),
+    )
+    sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as out:
+        for (sample_id, p), k, t, m in zip(final_step, ks, targets, mask):
+            out.write(json.dumps({
+                "id": sample_id,
+                "k": k,
+                "candidate_classes": np.flatnonzero(m).tolist(),
+                "p_tilde": t.tolist(),
+                "entropy_before": lb.entropy(p),
+                "entropy_after": lb.entropy(t),
+            }, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -152,14 +155,24 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _load_config(path) -> dict:
+    """The parsed JSON config file, or {} without one."""
+    if not path:
+        return {}
+    with open(path) as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict) or not all(
+        isinstance(raw.get(section, {}), dict) for section in ("sim", "dataset")
+    ):
+        raise ConfigError("config root and its sim and dataset sections must be objects")
+    return raw
+
+
 def cmd_sim(args) -> int:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    raw = _load_config(args.config)
     sim_raw = raw.setdefault("sim", {})
     if args.baseline:
         sim_raw["baseline"] = args.baseline
@@ -199,16 +212,13 @@ def cmd_sim(args) -> int:
 def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     """Per-sample (ground-truth mass retained, selected entropy) rows from
     the final model; the raw data behind density-plot comparisons."""
-    from .losses import softmax
-    from .sim import build_targets
-
     probs = softmax(state.model.logits(dataset.x_unlabeled))
     targets, _ = build_targets(probs, config, state.ledger)
+    zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled)
     with open(path, "w") as fh:
         fh.write("zobj1,entropy\n")
-        for p, t, y in zip(probs, targets, dataset.y_unlabeled):
-            zobj1 = p[y] if t[y] > 0 else 0.0
-            fh.write(f"{zobj1},{lb.entropy(t)}\n")
+        for z, t in zip(zobj1, targets):
+            fh.write(f"{z},{lb.entropy(t)}\n")
 
 
 def cmd_verify(args) -> int:
@@ -226,19 +236,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy_sweep(args) -> int:
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    config, spec = config_from_dict(raw)
+    config, spec = config_from_dict(_load_config(args.config))
     dataset = generate_dataset(spec)
     state = run(config, dataset)
-    ks = [int(k) for k in args.ks.split(",")]
-    means = entropy_vs_k(state.model, dataset, state.ledger, ks,
+    means = entropy_vs_k(state.model, dataset, state.ledger, args.ks,
                          seed=_default_seed(args))
-    for k, m in zip(ks, means):
+    for k, m in zip(args.ks, means):
         print(f"k={k} mean_entropy_sel={m}")
     return EXIT_OK
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(k) for k in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy-sweep", help="mean selected entropy vs fixed k")
     p.add_argument("--config", default=None)
-    p.add_argument("--ks", default="2,4,8,16,32")
+    p.add_argument("--ks", type=_int_list, default="2,4,8,16,32")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_entropy_sweep)
 
@@ -307,6 +316,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except SocLabelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

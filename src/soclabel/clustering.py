@@ -1,4 +1,5 @@
-"""Similarity-driven k-medoids over the class space.
+"""Similarity-driven k-medoids over the class space, and batched
+cluster-restricted label selection.
 
 Voronoi-style heuristic: assign every class to its most similar medoid,
 then move each medoid to the member maximizing the within-cluster
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidK
-from .labels import CandidateSet
+from .labels import restrict
+from .transitions import SimilarityMatrix
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,6 @@ class ClusterSet:
         for medoid, members in zip(self.medoids, self.clusters):
             if medoid not in members:
                 raise ValueError("medoid outside its cluster")
-
-    @property
-    def n_classes(self) -> int:
-        return sum(len(s) for s in self.clusters)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -109,9 +107,37 @@ def kmedoids(
     return ClusterSet(clusters, tuple(medoids), k, ledger_version, converged)
 
 
-def pick_candidates(clusters: ClusterSet, p_hat: int) -> CandidateSet:
-    """The unique cluster containing the argmax class prediction."""
-    for members in clusters.clusters:
-        if p_hat in members:
-            return CandidateSet(members)
-    raise ValueError(f"class {p_hat} not covered by the partition")
+def select_targets(
+    pnorm: np.ndarray,
+    sim: SimilarityMatrix,
+    ks: np.ndarray,
+    seed: int,
+    max_iter: int = 100,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster-restricted soft labels for a batch of normalized predictions.
+
+    Row i keeps the classes that share a cluster with its argmax under a
+    k-medoids partition into ks[i] clusters, then renormalizes. Runs one
+    clustering per distinct k. Returns (targets, mask), both (n, K).
+    """
+    n, K = pnorm.shape
+    ks = np.asarray(ks, dtype=int)
+    # cluster_of[k][c] is the cluster index of class c in the k-partition.
+    cluster_of = {}
+    for k in np.unique(ks):
+        cs = kmedoids(
+            sim.values,
+            int(k),
+            seed=seed,
+            max_iter=max_iter,
+            ledger_version=sim.ledger_version,
+        )
+        labels_of = np.empty(K, dtype=int)
+        for j, members in enumerate(cs.clusters):
+            labels_of[list(members)] = j
+        cluster_of[int(k)] = labels_of
+
+    assignment = np.stack([cluster_of[int(k)] for k in ks])
+    p_hat = pnorm.argmax(axis=1)
+    mask = assignment == assignment[np.arange(n), p_hat][:, None]
+    return restrict(pnorm, mask), mask

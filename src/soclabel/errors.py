@@ -5,10 +5,6 @@ class SocLabelError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidCandidateSet(SocLabelError):
-    """Candidate set is empty or contains out-of-range class indices."""
-
-
 class ZeroMass(SocLabelError):
     """Selected entries of a probability vector carry zero total mass."""
 

@@ -1,7 +1,7 @@
-"""Probability vectors, selection indicators and selected soft labels.
+"""Probability vectors, label restriction and selection scores.
 
-Class indices are 0-based throughout. All values are immutable; every
-operation returns a fresh object.
+Class indices are 0-based throughout. Restriction and the scores work on
+batches: one row per sample, one column per class.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCandidateSet, ZeroMass
+from .errors import ShapeMismatch, ZeroMass
 
 PROB_SUM_TOL = 1e-9
 
@@ -26,14 +26,12 @@ class ProbVector:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("need a 1-D vector over K >= 2 classes")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.size
 
     def argmax(self) -> int:
         # np.argmax returns the first maximum: ties break to the lowest index.
@@ -43,83 +41,22 @@ class ProbVector:
         return float(self.probs.max())
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """A non-empty subset of the class space, the support of a soft label."""
+def restrict(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Zero the entries outside the boolean mask and renormalize each row.
 
-    classes: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", frozenset(int(c) for c in self.classes))
-        if not self.classes:
-            raise InvalidCandidateSet("candidate set is empty")
-        if any(c < 0 for c in self.classes):
-            raise InvalidCandidateSet("negative class index")
-
-    def __contains__(self, c: int) -> bool:
-        return int(c) in self.classes
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-@dataclass(frozen=True)
-class SelectionIndicator:
-    """Binary mask over the K classes; at least one entry set."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mask, dtype=np.int8)
-        object.__setattr__(self, "mask", m)
-        if m.ndim != 1 or not np.all((m == 0) | (m == 1)):
-            raise ValueError("mask must be a binary vector")
-        if m.sum() == 0:
-            raise InvalidCandidateSet("indicator selects no class")
-
-    @property
-    def n_classes(self) -> int:
-        return self.mask.size
-
-    def selected(self) -> list[int]:
-        return [int(c) for c in np.flatnonzero(self.mask)]
-
-
-@dataclass(frozen=True)
-class SelectedLabel:
-    """A selection indicator together with the renormalized soft label."""
-
-    indicator: SelectionIndicator
-    probs: ProbVector
-
-    def __post_init__(self):
-        if np.any((self.indicator.mask == 0) & (self.probs.probs > 0)):
-            raise ValueError("soft label has mass outside its indicator")
-
-
-def build_indicator(candidates: CandidateSet, n_classes: int) -> SelectionIndicator:
-    """Turn a candidate class set into a binary selection mask."""
-    if any(c >= n_classes for c in candidates.classes):
-        raise InvalidCandidateSet("class index out of range")
-    mask = np.zeros(n_classes, dtype=np.int8)
-    mask[sorted(candidates.classes)] = 1
-    return SelectionIndicator(mask)
-
-
-def select_label(p: ProbVector, g: SelectionIndicator) -> SelectedLabel:
-    """Restrict p to the selected classes and renormalize.
-
-    Raises ZeroMass when the selected entries carry no probability; in the
-    pipeline this cannot happen because the candidate set always contains
-    the argmax class.
+    Raises ZeroMass when a row's selected entries carry no probability; in
+    the pipeline this cannot happen because the mask always keeps the
+    argmax class.
     """
-    if g.n_classes != p.n_classes:
-        raise ValueError("indicator and probability vector disagree on K")
-    masked = np.where(g.mask == 1, p.probs, 0.0)
-    total = float(masked.sum())
-    if total <= 0.0:
+    probs = np.asarray(probs, dtype=float)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != probs.shape:
+        raise ShapeMismatch("mask and probabilities shapes differ")
+    masked = np.where(mask, probs, 0.0)
+    total = masked.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ZeroMass("selected classes have zero total probability")
-    return SelectedLabel(g, ProbVector(masked / total))
+    return masked / total
 
 
 def entropy(p: ProbVector | np.ndarray) -> float:
@@ -129,13 +66,16 @@ def entropy(p: ProbVector | np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def obj1_score(p: ProbVector, g: SelectionIndicator, y_star: int) -> float:
-    """Ground-truth mass retained by the selection (simulator-only metric)."""
-    if not 0 <= y_star < p.n_classes:
+def obj1_score(probs: np.ndarray, targets: np.ndarray, y_star: np.ndarray) -> np.ndarray:
+    """Per-sample ground-truth mass kept by the selection: probs[i, y] when
+    class y is in the support of targets[i], else 0 (simulator-only metric)."""
+    y_star = np.asarray(y_star, dtype=int)
+    if np.any((y_star < 0) | (y_star >= probs.shape[1])):
         raise ValueError("ground-truth class out of range")
-    return float(p.probs[y_star]) if g.mask[y_star] == 1 else 0.0
+    rows = np.arange(y_star.size)
+    return probs[rows, y_star] * (targets[rows, y_star] > 0)
 
 
-def obj2_score(g: SelectionIndicator) -> int:
-    """Number of selected classes."""
-    return int(g.mask.sum())
+def obj2_score(targets: np.ndarray) -> np.ndarray:
+    """Per-sample number of selected classes (the support size)."""
+    return (np.asarray(targets) > 0).sum(axis=-1)

@@ -23,13 +23,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(log_softmax(logits))
 
 
-def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
-    """-sum(target * log softmax(logits)); target is a distribution."""
+def cross_entropy_per_sample(target: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """-sum(target * log softmax(logits)) over the class axis, one value per
+    row; each target row is a distribution."""
     target = np.asarray(target, dtype=float)
     logits = np.asarray(logits, dtype=float)
     if target.shape != logits.shape:
         raise ShapeMismatch("target and logits shapes differ")
-    return float(-np.sum(target * log_softmax(logits), axis=-1).mean())
+    return -np.sum(target * log_softmax(logits), axis=-1)
+
+
+def cross_entropy(target: np.ndarray, logits: np.ndarray) -> float:
+    """Mean of cross_entropy_per_sample over the batch."""
+    per_sample = cross_entropy_per_sample(target, logits)
+    if per_sample.size == 0:
+        raise EmptyBatch("cross-entropy of an empty batch")
+    return float(per_sample.mean())
 
 
 def cross_entropy_grad(target: np.ndarray, logits: np.ndarray) -> np.ndarray:
@@ -44,49 +53,11 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def supervised_loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of one-hot labels vs weak-branch logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    labels = np.atleast_1d(np.asarray(labels, dtype=int))
-    if logits.shape[0] == 0:
-        raise EmptyBatch("supervised batch is empty")
-    if logits.shape[0] != labels.shape[0]:
-        raise ShapeMismatch("labels and logits batch sizes differ")
-    return cross_entropy(one_hot(labels, logits.shape[1]), logits)
-
-
-def consistency_loss(targets: np.ndarray, strong_logits: np.ndarray) -> float:
-    """Mean cross-entropy of selected soft labels vs strong-branch logits.
-
-    No confidence masking: every unlabeled sample contributes.
-    """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    strong_logits = np.atleast_2d(np.asarray(strong_logits, dtype=float))
-    if targets.shape != strong_logits.shape:
-        raise ShapeMismatch("targets and strong logits shapes differ")
-    if targets.shape[0] == 0:
-        raise EmptyBatch("consistency batch is empty")
-    return cross_entropy(targets, strong_logits)
-
-
-def baseline_fixmatch_loss(
-    probs_weak: np.ndarray, strong_logits: np.ndarray, tau: float
-) -> float:
-    """FixMatch-style hard-pseudo-label consistency with a threshold.
-
-    Samples with max(p) < tau contribute zero; the mean is over the full
-    batch either way.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must be in [0, 1]")
-    probs_weak = np.atleast_2d(np.asarray(probs_weak, dtype=float))
-    strong_logits = np.atleast_2d(np.asarray(strong_logits, dtype=float))
-    if probs_weak.shape != strong_logits.shape:
-        raise ShapeMismatch("probs and strong logits shapes differ")
-    keep = probs_weak.max(axis=1) >= tau
-    hard = one_hot(probs_weak.argmax(axis=1), probs_weak.shape[1])
-    per_sample = -np.sum(hard * log_softmax(strong_logits), axis=1)
-    return float((per_sample * keep).mean())
+def fixmatch_weights(probs_weak: np.ndarray, tau: float) -> np.ndarray:
+    """FixMatch's confidence mask (Sohn et al., arXiv 2001.07685): 1.0 for
+    samples with max(p) >= tau, else 0.0. Masked samples still count in
+    the batch mean."""
+    return (np.asarray(probs_weak, dtype=float).max(axis=1) >= tau).astype(float)
 
 
 def total_loss(sup: float, cos: float, lambda_cos: float) -> float:
@@ -99,7 +70,6 @@ class LossReport:
     cos: float
     total: float
     lambda_cos: float
-    per_sample_cos: tuple = ()
 
     def __post_init__(self):
         parts = (self.sup, self.cos, self.total)

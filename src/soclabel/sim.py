@@ -14,10 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import labels as lb
-from .clustering import kmedoids, pick_candidates
+from .clustering import select_targets
 from .errors import ConfigError, DivergedAtIteration
 from .kselect import KPolicy, select_k
-from .losses import log_softmax, one_hot, softmax, total_loss, LossReport
+from .losses import (
+    LossReport,
+    cross_entropy,
+    cross_entropy_grad,
+    cross_entropy_per_sample,
+    fixmatch_weights,
+    one_hot,
+    softmax,
+    total_loss,
+)
 from .transitions import PredictionBank, TransitionLedger
 
 
@@ -42,6 +51,10 @@ class SyntheticDatasetSpec:
             raise ValueError("need at least 4 fine classes")
         if not self.intra_spread < self.inter_spread:
             raise ValueError("intra_spread must be < inter_spread")
+        counts = (self.dim, self.labels_per_class, self.unlabeled_per_class,
+                  self.test_per_class)
+        if min(counts) < 1:
+            raise ValueError("dim and the per-class sample counts must be positive")
 
     @property
     def n_classes(self) -> int:
@@ -141,8 +154,13 @@ class SimConfig:
             raise ConfigError(f"baseline must be one of {BASELINES}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must be in [0, 1]")
-        if self.batch_size < 1 or self.mu < 1 or self.iters < 1:
-            raise ConfigError("batch_size, mu and iters must be positive")
+        counts = (self.batch_size, self.mu, self.iters, self.window,
+                  self.eval_every, self.eval_subset, self.cluster_max_iter)
+        if min(counts) < 1:
+            raise ConfigError(
+                "batch_size, mu, iters, window, eval_every, eval_subset and "
+                "cluster_max_iter must be positive"
+            )
 
 
 @dataclass
@@ -232,32 +250,13 @@ def build_targets(
 
     sim = ledger.similarity_matrix()
     pnorm = probs / probs.sum(axis=1, keepdims=True)
-    p_hat = pnorm.argmax(axis=1)
     ks = np.array(
         [select_k(config.k_policy, float(c)) for c in pnorm.max(axis=1)], dtype=int
     )
-
-    # One clustering per distinct k; class_to_cluster[k][c] is the cluster
-    # index of class c, so the candidate mask of a sample is "same cluster
-    # as its argmax".
-    class_to_cluster: dict = {}
-    for k in np.unique(ks):
-        cs = kmedoids(
-            sim.values,
-            int(k),
-            seed=config.seed + sim.ledger_version,
-            max_iter=config.cluster_max_iter,
-            ledger_version=sim.ledger_version,
-        )
-        labels_of = np.empty(K, dtype=int)
-        for j, members in enumerate(cs.clusters):
-            labels_of[list(members)] = j
-        class_to_cluster[int(k)] = labels_of
-
-    assignment = np.stack([class_to_cluster[int(k)] for k in ks])
-    mask = assignment == assignment[np.arange(n), p_hat][:, None]
-    masked = np.where(mask, pnorm, 0.0)
-    targets = masked / masked.sum(axis=1, keepdims=True)
+    targets, _ = select_targets(
+        pnorm, sim, ks, seed=config.seed + sim.ledger_version,
+        max_iter=config.cluster_max_iter,
+    )
     return targets, ks
 
 
@@ -288,8 +287,8 @@ def soc_step(
     xw_lab = aug(x_lab, "weak")
     logits_lab = model.logits(xw_lab)
     target_lab = one_hot(y_lab, model.bias.size)
-    sup = float(-np.sum(target_lab * log_softmax(logits_lab), axis=1).mean())
-    grad_lab = (softmax(logits_lab) - target_lab) / B
+    sup = cross_entropy(target_lab, logits_lab)
+    grad_lab = cross_entropy_grad(target_lab, logits_lab) / B
 
     # Weak/strong branches run (and consume augmentation randomness) in
     # every arm so trajectories stay comparable across baselines.
@@ -305,16 +304,15 @@ def soc_step(
         targets, _ = build_targets(probs_weak, config, state.ledger)
         weights = np.ones(muB)
         if config.baseline == "fixmatch":
-            weights = (probs_weak.max(axis=1) >= config.tau).astype(float)
-        per_sample = -np.sum(targets * log_softmax(strong_logits), axis=1) * weights
+            weights = fixmatch_weights(probs_weak, config.tau)
+        per_sample = cross_entropy_per_sample(targets, strong_logits) * weights
         cos = float(per_sample.mean())
         grad_strong = (
-            (softmax(strong_logits) - targets)
+            cross_entropy_grad(targets, strong_logits)
             * weights[:, None]
             * (config.lambda_cos / muB)
         )
     else:
-        per_sample = np.zeros(muB)
         cos = 0.0
         grad_strong = None
 
@@ -336,7 +334,7 @@ def soc_step(
     model.bias -= step_lr * state.vel_b
     state.iteration += 1
 
-    return LossReport(sup, cos, total, config.lambda_cos, tuple(per_sample))
+    return LossReport(sup, cos, total, config.lambda_cos)
 
 
 def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow:
@@ -353,10 +351,8 @@ def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow
     targets, ks = build_targets(probs, config, state.ledger)
     ent_sel = np.array([lb.entropy(t) for t in targets])
     ent_raw = np.array([lb.entropy(p) for p in probs])
-    support = targets > 0
-    zobj2 = support.sum(axis=1)
-    in_support = support[np.arange(n_eval), y_true]
-    zobj1 = probs[np.arange(n_eval), y_true] * in_support
+    zobj1 = lb.obj1_score(probs, targets, y_true)
+    zobj2 = lb.obj2_score(targets)
 
     return MetricsRow(
         iter=state.iteration,
@@ -427,17 +423,14 @@ def entropy_vs_k(
     against one frozen ledger."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
     probs = softmax(model.logits(x))
+    pnorm = probs / probs.sum(axis=1, keepdims=True)
     sim = ledger.similarity_matrix()
     means = []
     for k in ks:
-        clusters = kmedoids(sim.values, k, seed=seed, max_iter=max_iter,
-                            ledger_version=sim.ledger_version)
-        ents = []
-        for row in probs:
-            p = lb.ProbVector(row / row.sum())
-            g = lb.build_indicator(pick_candidates(clusters, p.argmax()), p.n_classes)
-            ents.append(lb.entropy(lb.select_label(p, g).probs))
-        means.append(float(np.mean(ents)))
+        targets, _ = select_targets(
+            pnorm, sim, np.full(len(pnorm), k), seed=seed, max_iter=max_iter
+        )
+        means.append(float(np.mean([lb.entropy(t) for t in targets])))
     return means
 
 
@@ -467,4 +460,8 @@ def config_from_dict(raw: dict) -> tuple[SimConfig, SyntheticDatasetSpec]:
         config = SimConfig(k_policy=policy, **sim_raw)
     except TypeError as exc:
         raise ConfigError(f"sim: {exc}") from exc
+    K = spec.n_classes
+    if (K * spec.labels_per_class < config.batch_size
+            or K * spec.unlabeled_per_class < config.mu * config.batch_size):
+        raise ConfigError("dataset is smaller than one labeled or unlabeled batch")
     return config, spec

@@ -92,17 +92,6 @@ class TransitionLedger:
         self.version += 1
         return recorded
 
-    def similarity(self, m: int, n: int) -> float:
-        """Symmetrized windowed transition frequency between two classes."""
-        if not (0 <= m < self.n_classes and 0 <= n < self.n_classes):
-            raise InvalidClass("class index out of range")
-        if m == n:
-            return MAX_SIM
-        if not self.window:
-            return 0.0
-        w = len(self.window)
-        return (self.running_sum[m, n] / w + self.running_sum[n, m] / w) / 2.0
-
     def similarity_matrix(self) -> "SimilarityMatrix":
         """Dense symmetric pairwise similarity with MAX_SIM diagonal."""
         if self.window:

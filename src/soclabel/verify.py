@@ -45,13 +45,16 @@ def _random_prob(rng: np.random.Generator, n_classes: int) -> lb.ProbVector:
     return lb.ProbVector(p / p.sum())
 
 
-def _candidate_with_argmax(
-    rng: np.random.Generator, p: lb.ProbVector, size: int
-) -> lb.CandidateSet:
-    am = p.argmax()
-    others = [c for c in range(p.n_classes) if c != am]
+def _mask_with_argmax(
+    rng: np.random.Generator, p: np.ndarray, pool, size: int
+) -> np.ndarray:
+    """Mask of p's argmax plus size - 1 other classes drawn from pool."""
+    am = int(np.argmax(p))
+    others = [c for c in pool if c != am]
     extra = rng.choice(others, size=size - 1, replace=False) if size > 1 else []
-    return lb.CandidateSet(frozenset([am, *map(int, extra)]))
+    mask = np.zeros(p.size, dtype=bool)
+    mask[[am, *map(int, extra)]] = True
+    return mask
 
 
 def suite_lemma1(trials: int = 10000, seed: int = 0) -> SuiteResult:
@@ -62,8 +65,8 @@ def suite_lemma1(trials: int = 10000, seed: int = 0) -> SuiteResult:
         K = int(rng.integers(3, 201))
         p = _random_prob(rng, K)
         size = int(rng.integers(1, min(11, K) + 1))
-        g = lb.build_indicator(_candidate_with_argmax(rng, p, size), K)
-        ok = lb.entropy(lb.select_label(p, g).probs) <= lb.entropy(p) + ENTROPY_TOL
+        mask = _mask_with_argmax(rng, p.probs, range(K), size)
+        ok = lb.entropy(lb.restrict(p.probs, mask)) <= lb.entropy(p) + ENTROPY_TOL
         res.record(ok, (K, size))
     return res
 
@@ -88,8 +91,9 @@ def suite_uniform_mass(trials: int = 1000, seed: int = 0) -> SuiteResult:
             p_arr[selected] = v
             p_arr[np.setdiff1d(np.arange(K), selected)] = (1 - size * v) * w
         p = lb.ProbVector(p_arr / p_arr.sum())
-        g = lb.build_indicator(lb.CandidateSet(frozenset(map(int, selected))), K)
-        ok = lb.entropy(lb.select_label(p, g).probs) <= lb.entropy(p) + ENTROPY_TOL
+        mask = np.zeros(K, dtype=bool)
+        mask[selected] = True
+        ok = lb.entropy(lb.restrict(p.probs, mask)) <= lb.entropy(p) + ENTROPY_TOL
         res.record(ok, (K, size))
     return res
 
@@ -103,17 +107,12 @@ def suite_theorem1(trials: int = 1000, seed: int = 0) -> SuiteResult:
         p = _random_prob(rng, K)
         length = int(rng.integers(3, 6))
         sizes = sorted(rng.choice(np.arange(1, 12), size=length, replace=False))[::-1]
-        current = p
-        candidates = _candidate_with_argmax(rng, p, int(sizes[0]))
+        current = p.probs
+        mask = _mask_with_argmax(rng, current, range(K), int(sizes[0]))
         entropies = [lb.entropy(p)]
-        ok = True
         for size in sizes:
-            size = int(size)
-            pool = sorted(candidates.classes - {current.argmax()})
-            keep = rng.choice(pool, size=size - 1, replace=False) if size > 1 else []
-            candidates = lb.CandidateSet(frozenset([current.argmax(), *map(int, keep)]))
-            g = lb.build_indicator(candidates, K)
-            current = lb.select_label(current, g).probs
+            mask = _mask_with_argmax(rng, current, np.flatnonzero(mask), int(size))
+            current = lb.restrict(current, mask)
             entropies.append(lb.entropy(current))
         ok = all(b <= a + ENTROPY_TOL for a, b in zip(entropies, entropies[1:]))
         res.record(ok, (K, list(sizes)))

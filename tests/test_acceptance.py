@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soclabel import KPolicy
+from soclabel.kselect import KPolicy
 from soclabel.cli import EXIT_OK, main
 from soclabel.sim import (
     SimConfig,

@@ -8,19 +8,30 @@ from soclabel.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 DATA = Path(__file__).parent / "data"
 TOY_LOG = str(DATA / "toy_log.ndjson")
 GOLDEN = DATA / "golden_select.ndjson"
+# K=32 log from perfbench/loggen.py: generate_log(7, n_ids=24, n_steps=4,
+# groups=8, group_size=4). Its final step uses five distinct k and
+# non-singleton clusters, so any change in how selection sums shows here.
+MULTI_LOG = str(DATA / "multi_log.ndjson")
+GOLDEN_MULTI = DATA / "golden_multi_select.ndjson"
 
 
-def run_select(tmp_path, *extra):
+def run_select(tmp_path, *extra, log=TOY_LOG):
     out = tmp_path / "out.ndjson"
-    code = main(["select", TOY_LOG, "--seed", "0", "--out", str(out), *extra])
+    code = main(["select", log, "--seed", "0", "--out", str(out), *extra])
     return code, out
 
 
 class TestSelect:
     def test_golden_round_trip_bytes(self, tmp_path):
-        code, out = run_select(tmp_path)
-        assert code == EXIT_OK
-        assert out.read_bytes() == GOLDEN.read_bytes()
+        for log, golden in ((TOY_LOG, GOLDEN), (MULTI_LOG, GOLDEN_MULTI)):
+            code, out = run_select(tmp_path, log=log)
+            assert code == EXIT_OK
+            assert out.read_bytes() == golden.read_bytes()
+
+    def test_bad_policy_exits_usage(self, capsys):
+        for flags in (["--policy", "fixed"], ["--alpha", "1.0"]):
+            assert main(["select", TOY_LOG, *flags]) == EXIT_USAGE
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_replay_twice_identical(self, tmp_path):
         _, first = run_select(tmp_path)
@@ -75,12 +86,18 @@ class TestLogErrors:
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         log = tmp_path / "bad.ndjson"
-        log.write_text(
-            '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": [1.0, 0.0]}\n'
-            "{not json\n"
+        bad_lines = (
+            "{not json",
+            '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [0.0, 0.0]}',
+            '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [1.5, -0.5]}',
         )
-        assert main(["select", str(log)]) == EXIT_DATA
-        assert "line 2" in capsys.readouterr().err
+        for bad in bad_lines:
+            log.write_text(
+                '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": [1.0, 0.0]}\n'
+                + bad + "\n"
+            )
+            assert main(["select", str(log)]) == EXIT_DATA
+            assert "line 2" in capsys.readouterr().err
 
     def test_k_mismatch(self, tmp_path):
         log = tmp_path / "mismatch.ndjson"
@@ -158,13 +175,32 @@ class TestSim:
 
     def test_bad_config_exits_usage(self, tmp_path):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"sim": {"baseline": "mystery"}}))
-        assert main(["sim", "--config", str(config)]) == EXIT_USAGE
+        for bad in (
+            {"sim": {"baseline": "mystery"}},
+            {"sim": {"eval_every": 0}},
+            {"sim": {"window": 0}},
+            {"dataset": {"labels_per_class": 0}},
+            {"sim": {"mu": 7, "batch_size": 64}, "dataset": {"unlabeled_per_class": 10}},
+            {"sim": 3},
+            [],
+        ):
+            config.write_text(json.dumps(bad))
+            assert main(["sim", "--config", str(config)]) == EXIT_USAGE
 
     def test_config_not_json(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("{")
         assert main(["sim", "--config", str(config)]) == EXIT_USAGE
+
+
+class TestEntropySweep:
+    def test_bad_input_exits_usage(self, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text("{")
+        assert main(["entropy-sweep", "--config", str(config)]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy-sweep", "--ks", "2,x"])
+        assert exc.value.code == EXIT_USAGE
 
 
 class TestVerify:

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from soclabel import InvalidK, kmedoids, pick_candidates
-from soclabel.clustering import _assign
-from soclabel.transitions import MAX_SIM
+from soclabel.clustering import _assign, kmedoids, select_targets
+from soclabel.errors import InvalidK
+from soclabel.transitions import MAX_SIM, SimilarityMatrix
 
 
 def sim_with_blocks(blocks, n, strong=5.0, weak=0.1):
@@ -93,27 +93,46 @@ class TestKmedoids:
                     assert sim_zero[repl, members].sum() <= medoid_score + 1e-9
 
 
+def peaked(argmaxes, n):
+    """One normalized row per argmax, with half the mass on it."""
+    probs = np.full((len(argmaxes), n), 0.5 / (n - 1))
+    probs[np.arange(len(argmaxes)), argmaxes] = 0.5
+    return probs
+
+
 class TestPickCandidates:
+    """Candidate sets as select_targets builds them: the classes sharing a
+    cluster with the row's argmax."""
+
     def test_membership(self):
-        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
-        cs = kmedoids(sim, 2, seed=0)
-        assert pick_candidates(cs, 3).classes == frozenset({2, 3})
-        assert pick_candidates(cs, 0).classes == frozenset({0, 1})
+        sim = SimilarityMatrix(sim_with_blocks(({0, 1}, {2, 3}), 4), 0)
+        targets, mask = select_targets(peaked([3, 0], 4), sim, [2, 2], seed=0)
+        assert mask.tolist() == [[False, False, True, True], [True, True, False, False]]
+        assert targets[0] == pytest.approx([0.0, 0.0, 0.25, 0.75])
 
     def test_singleton(self):
-        sim = sim_with_blocks((), 8)
-        cs = kmedoids(sim, 8, seed=0)
-        assert pick_candidates(cs, 7).classes == frozenset({7})
+        sim = SimilarityMatrix(sim_with_blocks((), 8), 0)
+        targets, mask = select_targets(peaked([7], 8), sim, [8], seed=0)
+        assert np.flatnonzero(mask[0]).tolist() == [7]
+        assert targets[0].tolist() == [0.0] * 7 + [1.0]
 
     def test_always_contains_query(self):
         rng = np.random.default_rng(3)
         raw = rng.random((10, 10))
         sim = (raw + raw.T) / 2
         np.fill_diagonal(sim, MAX_SIM)
+        # One row per (k, query class), mixed k within the batch.
+        ks = np.repeat([2, 3, 5, 10], 10)
+        queries = np.tile(np.arange(10), 4)
+        targets, mask = select_targets(
+            peaked(queries, 10), SimilarityMatrix(sim, 0), ks, seed=1
+        )
+        assert mask[np.arange(40), queries].all()
+        assert np.allclose(targets.sum(axis=1), 1.0)
         for k in (2, 3, 5, 10):
-            cs = kmedoids(sim, k, seed=1)
-            for c in range(10):
-                assert c in pick_candidates(cs, c)
+            # The rows that share k cover exactly the clusters of kmedoids.
+            blocks = {frozenset(np.flatnonzero(row).tolist()) for row in mask[ks == k]}
+            assert blocks == set(kmedoids(sim, k, seed=1).clusters)
 
     def test_json_dump(self):
         import json

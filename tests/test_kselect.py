@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from soclabel import InvalidConfidence, KPolicy, select_k
+from soclabel.errors import InvalidConfidence
+from soclabel.kselect import KPolicy, select_k
 
 
 class TestLinear:
@@ -77,18 +78,20 @@ class TestRangeAndMonotonicity:
 def test_mean_candidate_size_non_increasing_in_k():
     # Larger k means finer clusters, so the average candidate-set size
     # over a fixed similarity matrix shrinks (weakly).
-    from soclabel import kmedoids, pick_candidates
-    from soclabel.transitions import MAX_SIM
+    from soclabel.clustering import select_targets
+    from soclabel.transitions import MAX_SIM, SimilarityMatrix
 
     rng = np.random.default_rng(5)
     raw = rng.random((16, 16))
     sim = (raw + raw.T) / 2
     np.fill_diagonal(sim, MAX_SIM)
+    # Row c puts its argmax on class c, so the rows query every class.
+    probs = np.full((16, 16), 0.5 / 15)
+    np.fill_diagonal(probs, 0.5)
     means = []
     for k in (2, 4, 8, 16):
-        cs = kmedoids(sim, k, seed=0)
-        sizes = [len(pick_candidates(cs, c)) for c in range(16)]
-        means.append(np.mean(sizes))
+        _, mask = select_targets(probs, SimilarityMatrix(sim, 0), np.full(16, k), seed=0)
+        means.append(mask.sum(axis=1).mean())
     assert all(b <= a for a, b in zip(means, means[1:]))
 
 

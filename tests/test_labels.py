@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclabel import (
-    CandidateSet,
-    InvalidCandidateSet,
+from soclabel.errors import ShapeMismatch, ZeroMass
+from soclabel.labels import (
     ProbVector,
-    ZeroMass,
-    build_indicator,
     entropy,
     obj1_score,
     obj2_score,
-    select_label,
+    restrict,
 )
 
 
@@ -23,7 +20,9 @@ def prob(*values):
 
 
 def indicator(classes, n):
-    return build_indicator(CandidateSet(frozenset(classes)), n)
+    mask = np.zeros(n, dtype=bool)
+    mask[list(classes)] = True
+    return mask
 
 
 class TestProbVector:
@@ -32,8 +31,10 @@ class TestProbVector:
             prob(0.5, 0.6, -0.1)
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            prob(0.5, 0.6)
+        # NaN and inf sums fail the tolerance check only by an explicit test.
+        for values in ((0.5, 0.6), (math.nan, 1.0), (math.nan, math.nan), (math.inf, 0.0)):
+            with pytest.raises(ValueError):
+                prob(*values)
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
@@ -43,42 +44,38 @@ class TestProbVector:
         assert prob(0.4, 0.4, 0.2).argmax() == 0
 
 
-class TestBuildIndicator:
-    def test_direct(self):
-        g = indicator({0, 2}, 4)
-        assert g.mask.tolist() == [1, 0, 1, 0]
-
-    def test_full_space(self):
-        g = indicator(set(range(5)), 5)
-        assert g.mask.tolist() == [1] * 5
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidCandidateSet):
-            CandidateSet(frozenset())
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidCandidateSet):
-            indicator({5}, 4)
-
-
 class TestSelectLabel:
+    """restrict: the selected soft label of each row."""
+
     def test_hand_renormalization(self):
-        out = select_label(prob(0.5, 0.3, 0.2), indicator({0, 1}, 3))
-        assert np.allclose(out.probs.probs, [0.625, 0.375, 0.0])
-        assert out.probs.probs[2] == 0.0
+        out = restrict(prob(0.5, 0.3, 0.2).probs, indicator({0, 1}, 3))
+        assert np.allclose(out, [0.625, 0.375, 0.0])
+        assert out[2] == 0.0
+        # A batch renormalizes each row on its own.
+        probs = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        mask = np.array([indicator({0, 1}, 3), indicator({1, 2}, 3)])
+        assert np.allclose(restrict(probs, mask), [[0.625, 0.375, 0.0], [0.0, 2 / 3, 1 / 3]])
 
     def test_all_ones_is_identity(self):
         p = prob(0.1, 0.2, 0.3, 0.4)
-        out = select_label(p, indicator(set(range(4)), 4))
-        assert np.array_equal(out.probs.probs, p.probs)
+        out = restrict(p.probs, indicator(set(range(4)), 4))
+        assert np.array_equal(out, p.probs)
 
     def test_single_class_degenerate(self):
-        out = select_label(prob(0.5, 0.3, 0.2), indicator({2}, 3))
-        assert out.probs.probs.tolist() == [0.0, 0.0, 1.0]
+        out = restrict(prob(0.5, 0.3, 0.2).probs, indicator({2}, 3))
+        assert out.tolist() == [0.0, 0.0, 1.0]
 
     def test_zero_mass(self):
         with pytest.raises(ZeroMass):
-            select_label(prob(0.5, 0.5, 0.0), indicator({2}, 3))
+            restrict(prob(0.5, 0.5, 0.0).probs, indicator({2}, 3))
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ZeroMass):
+            restrict(prob(0.5, 0.5, 0.0).probs, np.zeros(3, dtype=bool))
+
+    def test_mask_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            restrict(prob(0.5, 0.3, 0.2).probs, indicator({0}, 4))
 
 
 class TestEntropy:
@@ -93,25 +90,33 @@ class TestEntropy:
         assert entropy(prob(0.625, 0.375, 0.0)) == pytest.approx(0.66156, abs=1e-4)
 
 
+def selected(classes, probs):
+    """One-row batch: probs restricted to classes."""
+    probs = np.asarray(probs, dtype=float)[None, :]
+    return probs, restrict(probs, indicator(classes, probs.shape[1])[None, :])
+
+
 class TestObjectives:
     def test_obj1_selected(self):
-        g = indicator({0, 1}, 3)
-        assert obj1_score(prob(0.5, 0.3, 0.2), g, 1) == pytest.approx(0.3)
+        probs, targets = selected({0, 1}, [0.5, 0.3, 0.2])
+        assert obj1_score(probs, targets, [1]).tolist() == [pytest.approx(0.3)]
 
     def test_obj1_excluded(self):
-        g = indicator({0, 1}, 3)
-        assert obj1_score(prob(0.5, 0.3, 0.2), g, 2) == 0.0
+        probs, targets = selected({0, 1}, [0.5, 0.3, 0.2])
+        assert obj1_score(probs, targets, [2]).tolist() == [0.0]
+        with pytest.raises(ValueError):
+            obj1_score(probs, targets, [3])
 
     def test_obj1_full_selection(self):
-        g = indicator(set(range(3)), 3)
-        p = prob(0.5, 0.3, 0.2)
-        for y in range(3):
-            assert obj1_score(p, g, y) == pytest.approx(p.probs[y])
+        probs, targets = selected(set(range(3)), [0.5, 0.3, 0.2])
+        y = np.arange(3)
+        out = obj1_score(np.repeat(probs, 3, axis=0), np.repeat(targets, 3, axis=0), y)
+        assert out == pytest.approx(probs[0])
 
     def test_obj2(self):
-        assert obj2_score(indicator({0, 2}, 4)) == 2
-        assert obj2_score(indicator(set(range(200)), 200)) == 200
-        assert obj2_score(indicator({7}, 10)) == 1
+        assert obj2_score(selected({0, 2}, np.full(4, 0.25))[1]).tolist() == [2]
+        assert obj2_score(selected(set(range(200)), np.full(200, 0.005))[1]).tolist() == [200]
+        assert obj2_score(selected({7}, np.full(10, 0.1))[1]).tolist() == [1]
 
 
 @st.composite
@@ -124,21 +129,20 @@ def prob_and_candidates(draw, max_k=16):
     size = draw(st.integers(1, k))
     others = [c for c in range(k) if c != p.argmax()]
     extra = draw(st.permutations(others))[: size - 1]
-    return p, CandidateSet(frozenset([p.argmax(), *extra]))
+    return p, indicator([p.argmax(), *extra], k)
 
 
 @given(prob_and_candidates())
 @settings(max_examples=200)
 def test_selection_properties(case):
-    p, candidates = case
-    g = build_indicator(candidates, p.n_classes)
-    out = select_label(p, g)
-    assert abs(out.probs.probs.sum() - 1.0) <= 1e-9
-    assert np.all(out.probs.probs >= 0)
-    # Support stays inside the indicator.
-    assert np.all((out.probs.probs > 0) <= (g.mask == 1))
+    p, mask = case
+    out = restrict(p.probs, mask)
+    assert abs(out.sum() - 1.0) <= 1e-9
+    assert np.all(out >= 0)
+    # Support stays inside the mask.
+    assert np.all((out > 0) <= mask)
     # Argmax preserved when selected.
-    assert out.probs.argmax() == p.argmax()
+    assert np.argmax(out) == p.argmax()
     # Entropy never increases in the proven regime.
-    if len(candidates) <= 11:
-        assert entropy(out.probs) <= entropy(p) + 1e-12
+    if mask.sum() <= 11:
+        assert entropy(out) <= entropy(p) + 1e-12

@@ -3,18 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from soclabel import (
-    EmptyBatch,
+from soclabel.errors import EmptyBatch, ShapeMismatch
+from soclabel.losses import (
     LossReport,
-    ShapeMismatch,
-    baseline_fixmatch_loss,
-    consistency_loss,
     cross_entropy,
     cross_entropy_grad,
-    supervised_loss,
+    cross_entropy_per_sample,
+    fixmatch_weights,
+    log_softmax,
+    one_hot,
+    softmax,
     total_loss,
 )
-from soclabel.losses import log_softmax, one_hot, softmax
+
+
+def supervised_loss(logits, labels):
+    """The training step's supervised term: cross-entropy on one-hot labels."""
+    return cross_entropy(one_hot(labels, logits.shape[1]), logits)
+
+
+def baseline_fixmatch_loss(probs_weak, strong_logits, tau):
+    """The training step's consistency term on the FixMatch arm: hard
+    pseudo-labels, thresholded, averaged over the full batch."""
+    hard = one_hot(probs_weak.argmax(axis=1), probs_weak.shape[1])
+    per_sample = cross_entropy_per_sample(hard, strong_logits)
+    return float((per_sample * fixmatch_weights(probs_weak, tau)).mean())
 
 
 class TestCrossEntropy:
@@ -81,7 +94,10 @@ class TestSupervisedLoss:
 
     def test_single_example_matches_cross_entropy(self):
         logits = np.array([0.2, -1.0, 0.7])
-        assert supervised_loss(logits[None, :], np.array([2])) == pytest.approx(
+        per_sample = cross_entropy_per_sample(one_hot([2], 3), logits[None, :])
+        assert per_sample.shape == (1,)
+        assert supervised_loss(logits[None, :], np.array([2])) == per_sample[0]
+        assert per_sample[0] == pytest.approx(
             cross_entropy(np.array([0.0, 0.0, 1.0]), logits)
         )
 
@@ -106,14 +122,14 @@ class TestConsistencyLoss:
         targets = rng.dirichlet(np.ones(4), size=5)
         logits = np.log(targets) + 2.7  # constant shift cancels in softmax
         ents = [-np.sum(t * np.log(t)) for t in targets]
-        assert consistency_loss(targets, logits) == pytest.approx(np.mean(ents))
+        assert cross_entropy(targets, logits) == pytest.approx(np.mean(ents))
 
     def test_one_hot_targets_match_hard_label_loss(self):
         rng = np.random.default_rng(4)
         probs = rng.dirichlet(np.ones(6), size=8)
         hard = one_hot(probs.argmax(axis=1), 6)
         strong = rng.normal(size=(8, 6))
-        assert consistency_loss(hard, strong) == pytest.approx(
+        assert cross_entropy(hard, strong) == pytest.approx(
             baseline_fixmatch_loss(probs, strong, tau=0.0)
         )
 
@@ -123,20 +139,20 @@ class TestConsistencyLoss:
         by_hand = np.mean(
             [-np.sum(t * log_softmax(s)) for t, s in zip(targets, strong)]
         )
-        assert consistency_loss(targets, strong) == pytest.approx(by_hand)
+        assert cross_entropy(targets, strong) == pytest.approx(by_hand)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         targets = rng.dirichlet(np.ones(5), size=10)
         strong = rng.normal(size=(10, 5))
         perm = rng.permutation(10)
-        assert consistency_loss(targets, strong) == pytest.approx(
-            consistency_loss(targets[perm], strong[perm]), abs=1e-12
+        assert cross_entropy(targets, strong) == pytest.approx(
+            cross_entropy(targets[perm], strong[perm]), abs=1e-12
         )
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            consistency_loss(np.full((2, 3), 1 / 3), np.zeros((3, 3)))
+            cross_entropy(np.full((2, 3), 1 / 3), np.zeros((3, 3)))
 
 
 class TestBaselineLoss:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from soclabel import ConfigError, KPolicy
+from soclabel.errors import ConfigError
+from soclabel.kselect import KPolicy
 from soclabel.sim import (
     Dataset,
     SimConfig,
@@ -174,7 +175,7 @@ class TestTrainingLoop:
             assert row.mean_entropy_sel <= row.mean_entropy_raw + 1e-9
 
     def test_divergence_detection(self):
-        from soclabel import DivergedAtIteration
+        from soclabel.errors import DivergedAtIteration
 
         ds = generate_dataset(SMALL_SPEC)
         cfg = small_config(lr=1e100, iters=50)

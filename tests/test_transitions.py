@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclabel import (
+from soclabel.errors import InvalidClass, SchemaError
+from soclabel.transitions import (
     MAX_SIM,
-    InvalidClass,
     PredictionBank,
-    SchemaError,
     TransitionLedger,
+    rebuild_running_sum,
 )
-from soclabel.transitions import rebuild_running_sum
 
 
 def make(n_classes=6, window=4):
@@ -60,15 +59,15 @@ class TestSimilarity:
         # window now holds 3 batches: events {} ; {3x mn, 1x nm} ; {1x nm, 1x mn}
         w = len(ledger.window)
         expected = (4 / w + 2 / w) / 2
-        assert ledger.similarity(m, n) == pytest.approx(expected)
+        assert ledger.similarity_matrix().values[m, n] == pytest.approx(expected)
 
     def test_empty_window_is_zero(self):
         ledger, _ = make()
-        assert ledger.similarity(0, 1) == 0.0
+        assert ledger.similarity_matrix().values[0, 1] == 0.0
 
     def test_diagonal_sentinel(self):
         ledger, _ = make()
-        assert ledger.similarity(2, 2) == MAX_SIM
+        assert ledger.similarity_matrix().values[2, 2] == MAX_SIM
 
     def test_single_event_matrix(self):
         ledger, bank = make()
@@ -109,10 +108,8 @@ def test_window_oracle_and_symmetry(data):
     assert np.all(np.diag(ledger.running_sum) == 0)
     assert len(ledger.window) <= window
     assert ledger.version == n_batches
-    for m in range(K):
-        for n in range(K):
-            if m != n:
-                assert ledger.similarity(m, n) == ledger.similarity(n, m)
+    values = ledger.similarity_matrix().values
+    assert np.array_equal(values, values.T)
 
 
 class TestSnapshot:
