@@ -118,7 +118,7 @@ def cmd_select(args) -> int:
     records, n_classes = _read_log(args.log)
     ledger, final_step = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
-    ks = [select_k(policy, p.confidence()) for _, p in final_step]
+    ks = select_k(policy, [p.confidence() for _, p in final_step]).tolist()
     targets, mask = select_targets(
         np.stack([p.probs for _, p in final_step]),
         ledger.similarity_matrix(),
@@ -148,7 +148,7 @@ def cmd_cluster(args) -> int:
     else:
         policy = _policy_from_args(args, n_classes)
         confs = [p.confidence() for _, p in final_step]
-        k = select_k(policy, float(np.mean(confs)))
+        k = int(select_k(policy, np.mean(confs)))
     clusters = kmedoids(sim.values, k, seed=_default_seed(args),
                         ledger_version=sim.ledger_version)
     print(clusters.to_json())
@@ -257,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_policy_flags(p):
-        p.add_argument("--policy", choices=["linear", "exp", "fixed"], default="linear")
+    def add_policy_flags(p, default="linear"):
+        p.add_argument("--policy", choices=["linear", "exp", "fixed"], default=default)
         p.add_argument("--alpha", type=float, default=5.0)
         p.add_argument("--beta", type=float, default=0.5)
         p.add_argument("--k", type=int, default=None)
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run the training simulator")
     p.add_argument("--config", default=None, help="JSON config file")
-    add_policy_flags(p)
+    # No default: the config's sim.k_policy holds unless --policy is given.
+    add_policy_flags(p, default=None)
     p.add_argument("--baseline", choices=["soc", "fixmatch", "soft"], default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--nb", type=int, default=None)

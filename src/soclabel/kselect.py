@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfidence, InvalidK
 
 
@@ -67,15 +69,26 @@ class KPolicy:
         raise ValueError(f"unknown policy {name!r}")
 
 
-def select_k(policy: KPolicy, confidence: float) -> int:
-    """Map a softmax max-probability to a cluster count in {2..K}."""
-    if not 0.0 <= confidence <= 1.0:
-        raise InvalidConfidence(f"confidence {confidence} outside [0, 1]")
+def select_k(policy: KPolicy, confidence) -> np.ndarray:
+    """Map softmax max-probabilities to cluster counts in {2..K}.
+
+    Takes a confidence or an array of them and returns an int array of the
+    same shape. Each element is computed with the same operations, in the
+    same order, as the scalar formula in Python floats; the exponential
+    variant calls math.exp per element, since np.exp can differ from it in
+    the last bit.
+    """
+    conf = np.asarray(confidence, dtype=float)
+    in_range = (conf >= 0.0) & (conf <= 1.0)
+    if not in_range.all():
+        bad = conf[~in_range].flat[0]
+        raise InvalidConfidence(f"confidence {bad} outside [0, 1]")
     K = policy.n_classes
     if policy.variant == "fixed":
-        return policy.k
+        return np.full(conf.shape, policy.k, dtype=int)
     if policy.variant == "linear":
-        raw = (confidence / policy.alpha + 2 / K) * K - 0.5
+        raw = (conf / policy.alpha + 2 / K) * K - 0.5
     else:
-        raw = (math.exp(policy.beta * confidence) - 1 + 2 / K) * K - 0.5
-    return int(min(max(math.ceil(raw), 2), K))
+        grown = np.array([math.exp(policy.beta * c) for c in conf.ravel().tolist()])
+        raw = (grown.reshape(conf.shape) - 1 + 2 / K) * K - 0.5
+    return np.clip(np.ceil(raw), 2, K).astype(int)

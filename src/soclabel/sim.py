@@ -250,9 +250,7 @@ def build_targets(
 
     sim = ledger.similarity_matrix()
     pnorm = probs / probs.sum(axis=1, keepdims=True)
-    ks = np.array(
-        [select_k(config.k_policy, float(c)) for c in pnorm.max(axis=1)], dtype=int
-    )
+    ks = select_k(config.k_policy, pnorm.max(axis=1))
     targets, _ = select_targets(
         pnorm, sim, ks, seed=config.seed + sim.ledger_version,
         max_iter=config.cluster_max_iter,

@@ -120,13 +120,26 @@ class TransitionLedger:
             raise SchemaError(f"snapshot is not valid JSON: {exc}") from exc
         if not isinstance(snap, dict) or snap.get("magic") != SNAPSHOT_MAGIC:
             raise SchemaError(f"expected magic {SNAPSHOT_MAGIC!r}")
-        ledger = cls(snap["n_classes"], snap["window_size"])
-        for batch in snap["window"]:
-            bt = BatchTransitions(tuple((int(m), int(n)) for m, n in batch))
-            ledger.window.append(bt)
-            for m, n in bt.events:
-                ledger.running_sum[m, n] += 1
-        ledger.version = int(snap["version"])
+        try:
+            ledger = cls(snap["n_classes"], snap["window_size"])
+            K = ledger.n_classes
+            if len(snap["window"]) > ledger.window_size:
+                # observe_batch evicts only at exactly window_size batches.
+                raise SchemaError(
+                    f"window holds {len(snap['window'])} batches > window_size "
+                    f"{ledger.window_size}"
+                )
+            for batch in snap["window"]:
+                bt = BatchTransitions(tuple((int(m), int(n)) for m, n in batch))
+                # Negative indices would wrap into the running sum.
+                if not all(0 <= c < K for event in bt.events for c in event):
+                    raise SchemaError(f"class index outside [0, {K})")
+                ledger.window.append(bt)
+                for m, n in bt.events:
+                    ledger.running_sum[m, n] += 1
+            ledger.version = int(snap["version"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
         return ledger
 
 

@@ -130,9 +130,9 @@ def suite_krange(grid: int = 1000, seed: int = 0) -> SuiteResult:
         ]
         confidences = np.linspace(1 / K, 1.0, grid)
         for policy in policies:
-            ks = [select_k(policy, float(c)) for c in confidences]
-            in_range = all(2 <= k <= K for k in ks)
-            monotone = all(a <= b for a, b in zip(ks, ks[1:]))
+            ks = select_k(policy, confidences)
+            in_range = bool(np.all((ks >= 2) & (ks <= K)))
+            monotone = bool(np.all(np.diff(ks) >= 0))
             res.record(in_range and monotone, (K, policy.variant, policy.alpha, policy.beta))
     # Pinned values for the default linear policy at K = 200.
     default = KPolicy.linear(5.0, 200)

@@ -173,6 +173,21 @@ class TestSim:
         assert lines[0] == "zobj1,entropy"
         assert len(lines) == 1 + 4 * 20
 
+    def test_config_k_policy_holds_without_policy_flag(self, tmp_path):
+        config = tmp_path / "fixed.json"
+        config.write_text(json.dumps({
+            "dataset": {"n_super": 2, "fine_per_super": 2, "unlabeled_per_class": 100},
+            "sim": {"k_policy": {"policy": "fixed", "k": 4}, "iters": 300,
+                    "eval_every": 100},
+        }))
+        out = tmp_path / "metrics.csv"
+        for flags, k in (([], 4.0), (["--policy", "fixed", "--k", "3"], 3.0)):
+            args = ["sim", "--config", str(config), "--out", str(out), *flags]
+            assert main(args) == EXIT_OK
+            rows = out.read_text().splitlines()
+            assert rows[0].endswith(",k_mean")
+            assert [float(row.split(",")[-1]) for row in rows[1:]] == [k] * 3
+
     def test_bad_config_exits_usage(self, tmp_path):
         config = tmp_path / "bad.json"
         for bad in (

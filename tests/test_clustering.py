@@ -1,11 +1,14 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from soclabel.clustering import _assign, kmedoids, select_targets
+from soclabel.clustering import ClusterSet, _assign, kmedoids, select_targets
 from soclabel.errors import InvalidK
-from soclabel.transitions import MAX_SIM, SimilarityMatrix
+from soclabel.transitions import MAX_SIM, PredictionBank, SimilarityMatrix, TransitionLedger
 
 
 def sim_with_blocks(blocks, n, strong=5.0, weak=0.1):
@@ -93,6 +96,134 @@ class TestKmedoids:
                     assert sim_zero[repl, members].sum() <= medoid_score + 1e-9
 
 
+class TestClusterSet:
+    def test_clusters_derived_from_labels(self):
+        cs = ClusterSet([1, 0, 1, 0, 1], (1, 4), 2, ledger_version=3)
+        assert cs.clusters == (frozenset({1, 3}), frozenset({0, 2, 4}))
+        assert json.loads(cs.to_json())["clusters"] == [[1, 3], [0, 2, 4]]
+        assert cs == ClusterSet(np.array([1, 0, 1, 0, 1]), (1, 4), 2, 3)
+        assert cs != ClusterSet([1, 0, 1, 1, 1], (1, 4), 2, 3)
+
+    def test_invalid_partition_rejected(self):
+        for labels, medoids in (([0, 2, 1], (0, 2)), ([0, 1, 1], (0, 1, 2)),
+                                ([0, 1, 1], (1, 2))):
+            with pytest.raises(ValueError):
+                ClusterSet(labels, medoids, 2, 0)
+
+
+def reference_kmedoids(sim, k, seed, max_iter=100):
+    """The per-cluster loop kmedoids replaced: each cluster's sums in
+    member order through np.ix_. Returns (medoids, clusters, converged)."""
+    sim = np.asarray(sim, dtype=float)
+    n = sim.shape[0]
+    sim_zero_diag = sim.copy()
+    np.fill_diagonal(sim_zero_diag, 0.0)
+    rng = np.random.default_rng(seed)
+    medoids = sorted(int(c) for c in rng.choice(n, size=k, replace=False))
+    assignment = np.argmax(sim[:, medoids], axis=1)
+    converged = False
+    for _ in range(max_iter):
+        new_medoids = []
+        for j in range(k):
+            members = np.flatnonzero(assignment == j)
+            sums = sim_zero_diag[np.ix_(members, members)].sum(axis=1)
+            new_medoids.append(int(members[np.argmax(sums)]))
+        new_medoids = sorted(new_medoids)
+        if new_medoids == medoids:
+            converged = True
+            break
+        medoids = new_medoids
+        assignment = np.argmax(sim[:, medoids], axis=1)
+    clusters = tuple(
+        frozenset(int(c) for c in np.flatnonzero(assignment == j)) for j in range(k)
+    )
+    return tuple(medoids), clusters, converged
+
+
+def ledger_similarity(rng, K, window, n_batches):
+    """A ledger's similarity after n_batches random batches in which each
+    id's prediction moves inside one group of 4 classes."""
+    ledger, bank = TransitionLedger(K, window), PredictionBank()
+    for _ in range(n_batches):
+        ids = rng.integers(0, 2 * K, size=int(rng.integers(1, 9)))
+        preds = (ids // 4 * 4 + rng.integers(0, 4, size=ids.size)) % K
+        ledger.observe_batch(bank, zip(ids.tolist(), preds.tolist()))
+    return ledger.similarity_matrix().values
+
+
+def symmetric(raw):
+    sim = (raw + raw.T) / 2
+    np.fill_diagonal(sim, MAX_SIM)
+    return sim
+
+
+def tie_heavy_similarity(rng, kind, K):
+    if kind == "dyadic":
+        # Quarters: every sum is exact, and many of them tie.
+        return symmetric(rng.integers(0, 3, size=(K, K)) / 4.0)
+    if kind == "duplicated":
+        # Equal rows with inexact entries: exact ties that rounding in a
+        # different sum order would break.
+        base = rng.random((K, K)) / 3
+        copies = rng.integers(0, max(2, K // 3), size=K)
+        return symmetric(base[np.ix_(copies, copies)])
+    # Negative entries in thirds.
+    return symmetric(rng.integers(-2, 3, size=(K, K)) / 3.0)
+
+
+def assert_matches_reference(sim, k, seed, max_iter):
+    cs = kmedoids(sim, k, seed=seed, max_iter=max_iter)
+    assert (cs.medoids, cs.clusters, cs.converged) == reference_kmedoids(
+        sim, k, seed, max_iter
+    )
+
+
+class TestKmedoidsOracle:
+    """The array update equals the per-cluster loop bit for bit, on partial
+    and full ledger windows and on tie-heavy matrices."""
+
+    @given(
+        K=st.sampled_from([4, 32, 200]),
+        window=st.sampled_from([3, 300, 511, 512]),
+        full=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+        k_frac=st.floats(0, 1),
+        seed=st.integers(0, 2**31 - 1),
+        max_iter=st.sampled_from([1, 100]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ledger_windows(self, K, window, full, data_seed, k_frac, seed, max_iter):
+        rng = np.random.default_rng(data_seed)
+        n_batches = window if full else int(rng.integers(1, window))
+        sim = ledger_similarity(rng, K, window, n_batches)
+        k = 2 + int(k_frac * (K - 2))
+        assert_matches_reference(sim, k, seed, max_iter)
+
+    @given(
+        K=st.sampled_from([4, 32, 200]),
+        kind=st.sampled_from(["dyadic", "duplicated", "negative"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        k_frac=st.floats(0, 1),
+        seed=st.integers(0, 2**31 - 1),
+        max_iter=st.sampled_from([1, 100]),
+    )
+    # Clusters of 4 and more members whose best sums tie exactly and round
+    # apart in another order.
+    @example(K=32, kind="duplicated", data_seed=6, k_frac=0.3, seed=0, max_iter=100)
+    @example(K=32, kind="duplicated", data_seed=123, k_frac=0.3, seed=0, max_iter=1)
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy(self, K, kind, data_seed, k_frac, seed, max_iter):
+        sim = tie_heavy_similarity(np.random.default_rng(data_seed), kind, K)
+        k = 2 + int(k_frac * (K - 2))
+        assert_matches_reference(sim, k, seed, max_iter)
+
+    def test_non_finite_off_diagonal_rejected(self):
+        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+        sim[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            kmedoids(sim, 2, seed=0)
+
+
 def peaked(argmaxes, n):
     """One normalized row per argmax, with half the mass on it."""
     probs = np.full((len(argmaxes), n), 0.5 / (n - 1))
@@ -135,8 +266,6 @@ class TestPickCandidates:
             assert blocks == set(kmedoids(sim, k, seed=1).clusters)
 
     def test_json_dump(self):
-        import json
-
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
         dump = json.loads(kmedoids(sim, 2, seed=0, ledger_version=17).to_json())
         assert dump["k"] == 2

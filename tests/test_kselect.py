@@ -75,6 +75,68 @@ class TestRangeAndMonotonicity:
                 select_k(policy, bad)
 
 
+def scalar_k(policy, conf):
+    """The per-sample formula in Python floats, as select_k computed it
+    one confidence at a time."""
+    K = policy.n_classes
+    if policy.variant == "fixed":
+        return policy.k
+    if policy.variant == "linear":
+        raw = (conf / policy.alpha + 2 / K) * K - 0.5
+    else:
+        raw = (math.exp(policy.beta * conf) - 1 + 2 / K) * K - 0.5
+    return int(min(max(math.ceil(raw), 2), K))
+
+
+def boundary_confidences(policy):
+    """Confidences at which raw k is an integer, with their float
+    neighbours: where a ceiling changes."""
+    K = policy.n_classes
+    m = np.arange(2, K + 1, dtype=float)
+    if policy.variant == "linear":
+        conf = policy.alpha * (m - 1.5) / K
+    elif policy.variant == "exponential":
+        conf = np.log((m + 0.5) / K + 1 - 2 / K) / policy.beta
+    else:
+        conf = np.array([])
+    conf = np.concatenate([conf, np.nextafter(conf, 0), np.nextafter(conf, 2)])
+    return conf[(conf >= 0) & (conf <= 1)]
+
+
+def array_policies(K):
+    return [
+        KPolicy.linear(K / (K - 2), K), KPolicy.linear(5.0, K),
+        KPolicy.exponential(math.log(1.2), K), KPolicy.exponential(math.log(2 - 2 / K), K),
+        KPolicy.fixed(2, K), KPolicy.fixed(K, K),
+    ]
+
+
+class TestArraySelectK:
+    @pytest.mark.parametrize("K", [3, 32, 200])
+    def test_equals_scalar_formula(self, K):
+        for policy in array_policies(K):
+            conf = np.concatenate([np.linspace(0.0, 1.0, 2001), boundary_confidences(policy)])
+            ks = select_k(policy, conf)
+            assert ks.dtype.kind == "i" and ks.shape == conf.shape
+            assert ks.tolist() == [scalar_k(policy, c) for c in conf.tolist()]
+
+    def test_keeps_shape(self):
+        policy = KPolicy.linear(5.0, 200)
+        conf = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert select_k(policy, conf).shape == (2, 3)
+        assert select_k(policy, 1.0).shape == ()
+        assert int(select_k(policy, 1.0)) == 42
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+    def test_any_invalid_element_raises(self, bad):
+        for policy in array_policies(32):
+            for where in (0, 2, 4):
+                conf = np.full(5, 0.5)
+                conf[where] = bad
+                with pytest.raises(InvalidConfidence):
+                    select_k(policy, conf)
+
+
 def test_mean_candidate_size_non_increasing_in_k():
     # Larger k means finer clusters, so the average candidate-set size
     # over a fixed similarity matrix shrinks (weakly).

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from soclabel.sim import (
     run,
     soc_step,
     warmup_iters,
+    write_metrics_csv,
 )
 
 SMALL_SPEC = SyntheticDatasetSpec(
@@ -189,6 +192,22 @@ class TestTrainingLoop:
             state.model, ds, state.ledger, ks=(2, 4, 8), seed=0, subset=100
         )
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
+
+    def test_pinned_soc_trajectory(self, tmp_path):
+        # Without warmup, k-medoids sees partial windows of 3, 5, 6 and 7
+        # batches, whose similarities are inexact, before the window fills.
+        # A change to either digest is a change of behaviour.
+        spec = SyntheticDatasetSpec()
+        config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes), window=8,
+                           iters=60, eval_every=10, warmup_epochs=0, seed=3)
+        state = run(config, generate_dataset(spec))
+        csv = tmp_path / "metrics.csv"
+        write_metrics_csv(state.history, csv)
+        weights = state.model.weights.tobytes() + state.model.bias.tobytes()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "fc4b1530f96a93a303687ec60587003de894ab0e36b52d18818695c52b34b223")
+        assert hashlib.sha256(weights).hexdigest() == (
+            "e96232cab177af0a57ddcc978480c55963b0a846d499dad883579562b5082b4a")
 
     def test_final_score_is_tail_mean(self):
         ds = generate_dataset(SMALL_SPEC)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,3 +133,45 @@ class TestSnapshot:
     def test_bad_json(self):
         with pytest.raises(SchemaError):
             TransitionLedger.from_json("{not json")
+
+    @staticmethod
+    def snapshot(**override) -> dict:
+        ledger, bank = make(n_classes=4, window=2)
+        ledger.observe_batch(bank, [("a", 1)])
+        ledger.observe_batch(bank, [("a", 2)])
+        snap = json.loads(ledger.to_json())
+        snap.update(override)
+        return snap
+
+    def test_class_index_out_of_range(self):
+        # -1 used to wrap onto the last class and (2, -1) onto the diagonal.
+        for event in ([2, -1], [-1, 2], [1, 4]):
+            with pytest.raises(SchemaError):
+                TransitionLedger.from_json(json.dumps(self.snapshot(window=[[event]])))
+
+    def test_window_longer_than_window_size(self):
+        snap = self.snapshot(window=[[], [[1, 2]], [[2, 1]]])
+        with pytest.raises(SchemaError):
+            TransitionLedger.from_json(json.dumps(snap))
+
+    def test_missing_field(self):
+        for field in ("n_classes", "window_size", "version", "window"):
+            snap = self.snapshot()
+            del snap[field]
+            with pytest.raises(SchemaError, match=field):
+                TransitionLedger.from_json(json.dumps(snap))
+
+    def test_malformed_fields(self):
+        for override in (
+            {"window": [[[2, 2]]]},  # self-transition
+            {"window": [[[1, 2, 3]]]},
+            {"window": [[["a", 2]]]},
+            {"window": [3]},
+            {"window": 3},
+            {"n_classes": 1},
+            {"n_classes": "4"},
+            {"window_size": 0},
+            {"version": "x"},
+        ):
+            with pytest.raises(SchemaError):
+                TransitionLedger.from_json(json.dumps(self.snapshot(**override)))
