@@ -41,8 +41,15 @@ EXIT_DATA = 3
 
 
 def _read_log(path: str):
-    """Parse an NDJSON prediction log into (records, n_classes)."""
+    """Parse an NDJSON prediction log into (records, final_step, n_classes).
+
+    Every record is validated. records holds (step, id, argmax) for each
+    one; final_step holds (id, ProbVector) for the records of the highest
+    step, in file order. Only that step's probabilities are kept.
+    """
     records = []
+    final_step = []
+    top_step = None
     n_classes = None
     seen = set()
     with open(path) as fh:
@@ -76,25 +83,32 @@ def _read_log(path: str):
                     p = lb.ProbVector(probs / probs.sum())
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: bad probabilities ({exc})") from exc
-            records.append((step, sample_id, p))
+            records.append((step, sample_id, p.argmax()))
+            if top_step is None or step > top_step:
+                top_step, final_step = step, []
+            if step == top_step:
+                final_step.append((sample_id, p))
     if not records:
         raise SchemaError("log contains no records")
-    return records, n_classes
+    return records, final_step, n_classes
 
 
-def _replay(records, n_classes: int, window: int):
-    """Feed the log through the transition tracker in step order."""
+def _replay(records, n_classes: int, window: int) -> TransitionLedger:
+    """Feed the log's (step, id, argmax) records through the transition
+    tracker in step order."""
     ledger = TransitionLedger(n_classes, window)
-    bank = PredictionBank()
-    steps = sorted(set(step for step, _, _ in records))
-    by_step = {s: [] for s in steps}
-    for step, sample_id, p in records:
-        by_step[step].append((sample_id, p))
-    for step in steps:
-        ledger.observe_batch(bank, [(sid, p.argmax()) for sid, p in by_step[step]])
-    if len(steps) < 2:
+    # The bank's integer ids are the string ids in order of first appearance.
+    index = {}
+    by_step = {}
+    for step, sample_id, pred in records:
+        by_step.setdefault(step, []).append((index.setdefault(sample_id, len(index)), pred))
+    bank = PredictionBank(len(index))
+    for step in sorted(by_step):
+        ids, preds = zip(*by_step[step])
+        ledger.observe_batch(bank, ids, preds)
+    if len(by_step) < 2:
         print("warning: single-step log, similarity is cold (all zero)", file=sys.stderr)
-    return ledger, by_step[steps[-1]]
+    return ledger
 
 
 def _policy_from_args(args, n_classes: int) -> KPolicy:
@@ -115,33 +129,33 @@ def _default_seed(args) -> int:
 
 
 def cmd_select(args) -> int:
-    records, n_classes = _read_log(args.log)
-    ledger, final_step = _replay(records, n_classes, args.nb)
+    records, final_step, n_classes = _read_log(args.log)
+    ledger = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
-    ks = select_k(policy, [p.confidence() for _, p in final_step]).tolist()
+    probs = np.stack([p.probs for _, p in final_step])
+    ks = select_k(policy, probs.max(axis=1)).tolist()
     targets, mask = select_targets(
-        np.stack([p.probs for _, p in final_step]),
-        ledger.similarity_matrix(),
-        ks,
-        seed=_default_seed(args),
+        probs, ledger.similarity_matrix(), ks, seed=_default_seed(args)
     )
+    before = lb.entropy(probs).tolist()
+    after = lb.entropy(targets).tolist()
     sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out:
-        for (sample_id, p), k, t, m in zip(final_step, ks, targets, mask):
+        for i, (sample_id, _) in enumerate(final_step):
             out.write(json.dumps({
                 "id": sample_id,
-                "k": k,
-                "candidate_classes": np.flatnonzero(m).tolist(),
-                "p_tilde": t.tolist(),
-                "entropy_before": lb.entropy(p),
-                "entropy_after": lb.entropy(t),
+                "k": ks[i],
+                "candidate_classes": np.flatnonzero(mask[i]).tolist(),
+                "p_tilde": targets[i].tolist(),
+                "entropy_before": before[i],
+                "entropy_after": after[i],
             }, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_cluster(args) -> int:
-    records, n_classes = _read_log(args.log)
-    ledger, final_step = _replay(records, n_classes, args.nb)
+    records, final_step, n_classes = _read_log(args.log)
+    ledger = _replay(records, n_classes, args.nb)
     sim = ledger.similarity_matrix()
     if args.k is not None:
         k = args.k
@@ -217,8 +231,8 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled)
     with open(path, "w") as fh:
         fh.write("zobj1,entropy\n")
-        for z, t in zip(zobj1, targets):
-            fh.write(f"{z},{lb.entropy(t)}\n")
+        for z, h in zip(zobj1, lb.entropy(targets).tolist()):
+            fh.write(f"{z},{h}\n")
 
 
 def cmd_verify(args) -> int:

@@ -76,11 +76,15 @@ class ClusterSet:
         )
 
 
-def _assign(sim: np.ndarray, medoids: list) -> np.ndarray:
-    # Columns ordered by ascending medoid index, so the first argmax hit
-    # is the lowest-indexed medoid. The MAX_SIM diagonal pins each medoid
-    # to its own cluster.
-    return sim.take(medoids, axis=1).argmax(axis=1)
+def _assign(sim: np.ndarray, medoids) -> np.ndarray:
+    """Each class's cluster under every row of medoids: (K,) for one row,
+    (K, rows) for a 2-D medoids array."""
+    # Each row ascending, so the first argmax hit is the lowest-indexed
+    # medoid, and a repeated padding medoid never comes first. The MAX_SIM
+    # diagonal pins each medoid to its own cluster.
+    medoids = np.asarray(medoids)
+    picked = sim.take(medoids.ravel(), axis=1)
+    return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
 
 
 def _reference_medoid(sim_zero_diag: np.ndarray, members: np.ndarray) -> int:
@@ -117,16 +121,27 @@ def _sum_tolerance(sim_zero_diag: np.ndarray) -> float:
 
 
 def _update_medoids(
-    sim_zero_diag: np.ndarray, assignment: np.ndarray, k: int, tol: float
-) -> list:
+    sim_zero_diag: np.ndarray, assignment: np.ndarray, ks: np.ndarray, tol: float
+) -> np.ndarray:
     """Every cluster's member with the largest within-cluster similarity
-    sum, ties to the lowest index, as a sorted list."""
-    member = assignment[:, None] == np.arange(k)
-    size = np.bincount(assignment, minlength=k)
-    if not size.all():
+    sum, ties to the lowest index, for every partition at once.
+
+    assignment[c, r] is class c's cluster in partition r, which has ks[r]
+    clusters. Returns one row per partition: its ks[r] medoids sorted,
+    padded to max(ks) by repeating the last.
+    """
+    n, n_rows = assignment.shape
+    kmax = int(ks.max())
+    # Column r * kmax + j is cluster j of partition r; columns j >= ks[r]
+    # are empty.
+    member = (assignment[:, :, None] == np.arange(kmax)).reshape(n, n_rows * kmax)
+    size = member.sum(axis=0)
+    real = (np.arange(kmax) < ks[:, None]).ravel()
+    if not size[real].all():
         raise ValueError("empty cluster: the diagonal must dominate its row")
-    # within[c, j] is class c's similarity sum over cluster j if c is in j,
-    # else -inf. argmax takes a column's first maximum: the lowest index.
+    # within[c, col] is class c's similarity sum over cluster col if c is
+    # in it, else -inf. argmax takes a column's first maximum: the lowest
+    # index.
     within = np.where(member, sim_zero_diag @ member, -np.inf)
     best = within.argmax(axis=0)
     if tol > 0.0:
@@ -134,12 +149,91 @@ def _update_medoids(
         # which is order-free. A larger one whose two best candidates are
         # within tol of each other (or whose gap is NaN after an overflow)
         # is summed again in the reference order.
-        runner_up, top = np.partition(within, -2, axis=0)[-2:]
-        gaps = (top - runner_up).tolist()
-        for j, (gap, n_members) in enumerate(zip(gaps, size.tolist())):
-            if n_members > 3 and not gap > tol:
-                best[j] = _reference_medoid(sim_zero_diag, np.flatnonzero(member[:, j]))
-    return sorted(best.tolist())
+        large = np.flatnonzero(size > 3)
+        runner_up, top = np.partition(within[:, large], -2, axis=0)[-2:]
+        for col in large[~(top - runner_up > tol)].tolist():
+            best[col] = _reference_medoid(sim_zero_diag, np.flatnonzero(member[:, col]))
+    best, real = best.reshape(n_rows, kmax), real.reshape(n_rows, kmax)
+    # Empty columns take the row's largest medoid, which sorts last.
+    last = np.where(real, best, -1).max(axis=1, keepdims=True)
+    return np.sort(np.where(real, best, last), axis=1)
+
+
+def _initial_medoids(n: int, ks: np.ndarray, seed: int, width: int) -> np.ndarray:
+    """Row r: the sorted `default_rng(seed).choice(n, ks[r], replace=False)`,
+    padded to width by repeating its last entry. One generator serves every
+    k: its state is restored before each draw, so each k starts as a fresh
+    one would."""
+    rng = np.random.default_rng(seed)
+    bit_generator = rng.bit_generator
+    start = bit_generator.state
+    medoids = np.empty((ks.size, width), dtype=np.intp)
+    for r, k in enumerate(ks.tolist()):
+        bit_generator.state = start
+        chosen = rng.choice(n, size=k, replace=False)
+        chosen.sort()
+        medoids[r, :k] = chosen
+        medoids[r, k:] = chosen[-1]
+    return medoids
+
+
+def cluster_labels(
+    sim: np.ndarray, ks, seed: int, max_iter: int = 100
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-medoids partitions of the K classes for every k in ks, in one pass.
+
+    Returns (labels, medoids, converged): labels[r, c] is the cluster of
+    class c in the ks[r]-partition, medoids[r, :ks[r]] its sorted medoids
+    (padded to max(ks) by repeating the last), and converged[r] whether
+    that partition reached its fixed point within max_iter iterations.
+    Row r equals `kmedoids(sim, ks[r], seed, max_iter)` bit for bit; see
+    kmedoids for the tie and sum-order contract.
+    """
+    sim = np.asarray(sim, dtype=float)
+    n = sim.shape[0]
+    if sim.ndim != 2 or sim.shape[1] != n:
+        raise ValueError("similarity matrix must be square")
+    ks = np.asarray(ks, dtype=np.intp).reshape(-1)
+    for k in ks.tolist():
+        if not 2 <= k <= n:
+            raise InvalidK(f"k={k} outside [2, {n}]")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+    # Self-similarity is excluded from medoid-update sums: it contributes
+    # the same sentinel amount to every candidate.
+    sim_zero_diag = sim.copy()
+    np.fill_diagonal(sim_zero_diag, 0.0)
+    if not np.isfinite(sim_zero_diag).all():
+        raise ValueError("off-diagonal similarities must be finite")
+    tol = _sum_tolerance(sim_zero_diag)
+
+    medoids = _initial_medoids(n, ks, seed, int(ks.max()))
+
+    labels = np.empty((ks.size, n), dtype=np.intp)
+    converged = np.zeros(ks.size, dtype=bool)
+    # Partitions still iterating. One at its fixed point stays there, so
+    # dropping it stops it where its own loop would have stopped.
+    active = np.arange(ks.size)
+    assignment = _assign(sim, medoids)
+    for _ in range(max_iter):
+        new = _update_medoids(sim_zero_diag, assignment, ks[active], tol)
+        width = new.shape[1]
+        fixed = (new == medoids[active, :width]).all(axis=1)
+        if fixed.any():
+            converged[active[fixed]] = True
+            labels[active[fixed]] = assignment[:, fixed].T
+            active, new = active[~fixed], new[~fixed]
+            if not active.size:
+                break
+        # Columns past width keep an older padding until the final re-pad.
+        medoids[active, :width] = new
+        assignment = _assign(sim, medoids[active, : int(ks[active].max())])
+    else:
+        # max_iter reached: the latest assignment, not converged.
+        labels[active] = assignment.T
+    padding = np.minimum(np.arange(medoids.shape[1]), ks[:, None] - 1)
+    return labels, np.take_along_axis(medoids, padding, axis=1), converged
 
 
 def kmedoids(
@@ -151,9 +245,11 @@ def kmedoids(
 ) -> ClusterSet:
     """Cluster the K classes given a symmetric similarity matrix.
 
-    Deterministic for fixed (sim, k, seed, max_iter). When max_iter is hit
-    before the medoid set stabilizes, the latest assignment is returned
-    with converged=False.
+    The one-k case of cluster_labels, as a ClusterSet. Deterministic for
+    fixed (sim, k, seed, max_iter): the initial medoids are
+    `default_rng(seed).choice(K, k, replace=False)`, sorted. When max_iter
+    is hit before the medoid set stabilizes, the latest assignment is
+    returned with converged=False.
 
     Ties: a class joins the lowest-indexed of its most similar medoids,
     and a cluster's new medoid is the lowest-indexed of the members with
@@ -168,38 +264,20 @@ def kmedoids(
     members has order-free sums; and any other cluster whose two best
     candidates are within the summation error bound is summed again in
     the reference order. Off-diagonal entries must be finite.
+
+    Lockstep: cluster_labels runs every k of one call together. It checks
+    the matrix once, and restores the generator's state before each k's
+    `choice`, so each k starts where a fresh `default_rng(seed)` would.
+    Each k's medoid row is padded to the largest k by repeating its last
+    medoid, which the first-hit argmax never picks. One matrix product
+    updates the medoids of every k, and the three rules above apply to
+    each cluster on its own. A k at its fixed point leaves the pass, as
+    its own loop would have stopped there, so each k's labels, medoids
+    and converged flag equal this function's for that k alone.
     """
-    sim = np.asarray(sim, dtype=float)
-    n = sim.shape[0]
-    if sim.ndim != 2 or sim.shape[1] != n:
-        raise ValueError("similarity matrix must be square")
-    if not 2 <= k <= n:
-        raise InvalidK(f"k={k} outside [2, {n}]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-
-    # Self-similarity is excluded from medoid-update sums: it contributes
-    # the same sentinel amount to every candidate.
-    sim_zero_diag = sim.copy()
-    np.fill_diagonal(sim_zero_diag, 0.0)
-    if not np.isfinite(sim_zero_diag).all():
-        raise ValueError("off-diagonal similarities must be finite")
-    tol = _sum_tolerance(sim_zero_diag)
-
-    rng = np.random.default_rng(seed)
-    medoids = sorted(int(c) for c in rng.choice(n, size=k, replace=False))
-
-    assignment = _assign(sim, medoids)
-    converged = False
-    for _ in range(max_iter):
-        new_medoids = _update_medoids(sim_zero_diag, assignment, k, tol)
-        if new_medoids == medoids:
-            converged = True
-            break
-        medoids = new_medoids
-        assignment = _assign(sim, medoids)
-
-    return ClusterSet(assignment, tuple(medoids), k, ledger_version, converged)
+    labels, medoids, converged = cluster_labels(sim, [k], seed, max_iter)
+    return ClusterSet(labels[0], tuple(medoids[0].tolist()), k, ledger_version,
+                      bool(converged[0]))
 
 
 def select_targets(
@@ -212,17 +290,14 @@ def select_targets(
     """Cluster-restricted soft labels for a batch of normalized predictions.
 
     Row i keeps the classes that share a cluster with its argmax under a
-    k-medoids partition into ks[i] clusters, then renormalizes. Runs one
-    clustering per distinct k. Returns (targets, mask), both (n, K).
+    k-medoids partition into ks[i] clusters, then renormalizes. Clusters
+    every distinct k in one cluster_labels pass. Returns (targets, mask),
+    both (n, K).
     """
     n = pnorm.shape[0]
     distinct, which = np.unique(np.asarray(ks, dtype=int), return_inverse=True)
     # labels_by_k[u, c] is the cluster of class c in the distinct[u]-partition.
-    labels_by_k = np.stack([
-        kmedoids(sim.values, int(k), seed=seed, max_iter=max_iter,
-                 ledger_version=sim.ledger_version).labels
-        for k in distinct
-    ])
+    labels_by_k, _, _ = cluster_labels(sim.values, distinct, seed, max_iter)
     assignment = labels_by_k[which]
     p_hat = pnorm.argmax(axis=1)
     mask = assignment == assignment[np.arange(n), p_hat][:, None]

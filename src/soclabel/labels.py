@@ -59,9 +59,24 @@ def restrict(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return masked / total
 
 
-def entropy(p: ProbVector | np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * ln 0 = 0."""
+def entropy(p: ProbVector | np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in nats, with 0 * ln 0 = 0.
+
+    A 2-D batch gives one entropy per row, each equal bit for bit to the
+    row's own: rows with the same number of nonzeros are summed together,
+    their nonzeros packed in column order, so each row is reduced in the
+    order a lone row would be.
+    """
     v = p.probs if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
+    if v.ndim == 2:
+        positive = v > 0
+        counts = positive.sum(axis=1)
+        out = np.empty(v.shape[0])
+        for m in np.flatnonzero(np.bincount(counts)).tolist():
+            rows = np.flatnonzero(counts == m)
+            nz = v[rows][positive[rows]].reshape(rows.size, m)
+            out[rows] = -np.sum(nz * np.log(nz), axis=1)
+        return out
     nz = v[v > 0]
     return float(-np.sum(nz * np.log(nz)))
 

@@ -214,7 +214,7 @@ def init_state(config: SimConfig, dataset: Dataset) -> SimState:
     return SimState(
         model=model,
         ledger=TransitionLedger(dataset.n_classes, config.window),
-        bank=PredictionBank(),
+        bank=PredictionBank(dataset.x_unlabeled.shape[0]),
         vel_w=np.zeros_like(model.weights),
         vel_b=np.zeros_like(model.bias),
         rng_data=np.random.default_rng([config.seed, 0]),
@@ -293,7 +293,7 @@ def soc_step(
     xw_ulb = aug(x_ulb, "weak")
     probs_weak = softmax(model.logits(xw_ulb))
     p_hat = probs_weak.argmax(axis=1)
-    state.ledger.observe_batch(state.bank, list(zip(ulb_ids.tolist(), p_hat.tolist())))
+    state.ledger.observe_batch(state.bank, ulb_ids, p_hat)
     xs_ulb = aug(x_ulb, "strong")
     strong_logits = model.logits(xs_ulb)
 
@@ -347,8 +347,8 @@ def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow
     probs = probs_all[:n_eval]
     y_true = dataset.y_unlabeled[:n_eval]
     targets, ks = build_targets(probs, config, state.ledger)
-    ent_sel = np.array([lb.entropy(t) for t in targets])
-    ent_raw = np.array([lb.entropy(p) for p in probs])
+    ent_sel = lb.entropy(targets)
+    ent_raw = lb.entropy(probs)
     zobj1 = lb.obj1_score(probs, targets, y_true)
     zobj2 = lb.obj2_score(targets)
 
@@ -428,7 +428,7 @@ def entropy_vs_k(
         targets, _ = select_targets(
             pnorm, sim, np.full(len(pnorm), k), seed=seed, max_iter=max_iter
         )
-        means.append(float(np.mean([lb.entropy(t) for t in targets])))
+        means.append(float(np.mean(lb.entropy(targets))))
     return means
 
 

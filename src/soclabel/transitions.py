@@ -2,8 +2,8 @@
 
 A transition is recorded whenever the model's argmax prediction for a
 sample changes between consecutive observations. Per-batch events are kept
-as sparse lists; the windowed sum is maintained densely so similarity
-queries stay O(1).
+as (from, to) rows of an integer array; the windowed sum is maintained
+densely so similarity queries stay O(1).
 """
 
 from __future__ import annotations
@@ -22,33 +22,31 @@ SNAPSHOT_MAGIC = "SOC-CTT-v1"
 
 
 class PredictionBank:
-    """Last argmax prediction per sample id (UNOBSERVED before the first)."""
+    """Last argmax prediction per sample id (UNOBSERVED before the first).
 
-    def __init__(self):
-        self.last_pred: dict = {}
+    Ids are the integers 0..n_ids-1; `last_pred[i]` is id i's prediction.
+    """
 
-    def get(self, sample_id) -> int:
-        return self.last_pred.get(sample_id, UNOBSERVED)
-
-    def set(self, sample_id, pred: int) -> None:
-        self.last_pred[sample_id] = int(pred)
-
-    def __len__(self) -> int:
-        return len(self.last_pred)
+    def __init__(self, n_ids: int):
+        self.last_pred = np.full(n_ids, UNOBSERVED, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchTransitions:
-    """Sparse (from_class, to_class) events of one batch; never from == to."""
+    """The (from_class, to_class) events of one batch, one row each, in
+    batch order; never from == to."""
 
-    events: tuple
+    pairs: np.ndarray
 
     def __post_init__(self):
-        if any(m == n for m, n in self.events):
+        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        pairs.flags.writeable = False
+        object.__setattr__(self, "pairs", pairs)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
             raise ValueError("self-transitions are not allowed")
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.pairs)
 
 
 class TransitionLedger:
@@ -65,32 +63,52 @@ class TransitionLedger:
         self.running_sum = np.zeros((n_classes, n_classes), dtype=np.int64)
         self.version = 0
 
-    def observe_batch(self, bank: PredictionBank, batch) -> BatchTransitions:
-        """Record one batch of (sample_id, predicted_class) observations.
+    def observe_batch(self, bank: PredictionBank, ids, preds) -> BatchTransitions:
+        """Record one batch: sample ids[i] was predicted as class preds[i].
 
         A sample's first observation updates the bank without counting a
-        transition. The oldest batch is evicted once the window is full.
+        transition. An id seen twice in one batch moves from its earlier
+        prediction to its later one, and the bank keeps the last. The
+        oldest batch is evicted once the window is full.
         """
-        events = []
-        for sample_id, pred in batch:
-            pred = int(pred)
-            if not 0 <= pred < self.n_classes:
-                raise InvalidClass(f"class {pred} >= K={self.n_classes}")
-            prev = bank.get(sample_id)
-            if prev != UNOBSERVED and prev != pred:
-                events.append((prev, pred))
-            bank.set(sample_id, pred)
-        recorded = BatchTransitions(tuple(events))
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        preds = np.asarray(preds, dtype=np.int64).reshape(-1)
+        if ids.shape != preds.shape:
+            raise ValueError("need one prediction per id")
+        bad = (preds < 0) | (preds >= self.n_classes)
+        if bad.any():
+            raise InvalidClass(f"class {preds[bad.argmax()]} >= K={self.n_classes}")
+        n_ids = bank.last_pred.size
+        if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
+            raise ValueError(f"sample id outside [0, {n_ids})")
+
+        # In id order (stable, so repeats keep batch order), each
+        # observation's previous prediction is the bank's for an id's
+        # first occurrence and the one before it otherwise.
+        order = np.argsort(ids, kind="stable")
+        sorted_ids, sorted_preds = ids[order], preds[order]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+        last = np.ones(ids.size, dtype=bool)
+        last[:-1] = first[1:]
+        prev_sorted = bank.last_pred[sorted_ids]
+        prev_sorted[1:] = np.where(first[1:], prev_sorted[1:], sorted_preds[:-1])
+        prev = np.empty_like(preds)
+        prev[order] = prev_sorted
+        bank.last_pred[sorted_ids[last]] = sorted_preds[last]
+
+        moved = (prev != UNOBSERVED) & (prev != preds)
+        recorded = BatchTransitions(np.stack([prev[moved], preds[moved]], axis=1))
 
         if len(self.window) == self.window_size:
-            oldest = self.window.popleft()
-            for m, n in oldest.events:
-                self.running_sum[m, n] -= 1
+            self._count(self.window.popleft(), -1)
         self.window.append(recorded)
-        for m, n in recorded.events:
-            self.running_sum[m, n] += 1
+        self._count(recorded, 1)
         self.version += 1
         return recorded
+
+    def _count(self, batch: BatchTransitions, delta: int) -> None:
+        np.add.at(self.running_sum, (batch.pairs[:, 0], batch.pairs[:, 1]), delta)
 
     def similarity_matrix(self) -> "SimilarityMatrix":
         """Dense symmetric pairwise similarity with MAX_SIM diagonal."""
@@ -108,7 +126,7 @@ class TransitionLedger:
             "n_classes": self.n_classes,
             "window_size": self.window_size,
             "version": self.version,
-            "window": [[list(e) for e in b.events] for b in self.window],
+            "window": [b.pairs.tolist() for b in self.window],
         }
         return json.dumps(snap)
 
@@ -130,13 +148,12 @@ class TransitionLedger:
                     f"{ledger.window_size}"
                 )
             for batch in snap["window"]:
-                bt = BatchTransitions(tuple((int(m), int(n)) for m, n in batch))
+                bt = BatchTransitions([(int(m), int(n)) for m, n in batch])
                 # Negative indices would wrap into the running sum.
-                if not all(0 <= c < K for event in bt.events for c in event):
+                if np.any((bt.pairs < 0) | (bt.pairs >= K)):
                     raise SchemaError(f"class index outside [0, {K})")
                 ledger.window.append(bt)
-                for m, n in bt.events:
-                    ledger.running_sum[m, n] += 1
+                ledger._count(bt, 1)
             ledger.version = int(snap["version"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
@@ -155,6 +172,6 @@ def rebuild_running_sum(ledger: TransitionLedger) -> np.ndarray:
     """From-scratch recount of the window; oracle for the incremental sum."""
     total = np.zeros((ledger.n_classes, ledger.n_classes), dtype=np.int64)
     for batch in ledger.window:
-        for m, n in batch.events:
+        for m, n in batch.pairs.tolist():
             total[m, n] += 1
     return total

@@ -149,9 +149,9 @@ def suite_ctt(trials: int = 100, seed: int = 0) -> SuiteResult:
         K = int(rng.integers(3, 17))
         window = int(rng.choice([4, 16]))
         ledger = TransitionLedger(K, window)
-        bank = PredictionBank()
         n_batches = int(rng.integers(1, 51))
         n_ids = int(rng.integers(1, 33))
+        bank = PredictionBank(n_ids)
         version_ok = True
         for _ in range(n_batches):
             size = int(rng.integers(1, 65))
@@ -160,7 +160,8 @@ def suite_ctt(trials: int = 100, seed: int = 0) -> SuiteResult:
                 for _ in range(size)
             ]
             before = ledger.version
-            ledger.observe_batch(bank, batch)
+            ids, preds = np.array(batch).T
+            ledger.observe_batch(bank, ids, preds)
             version_ok &= ledger.version == before + 1
         exact = np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
         diag_zero = np.all(np.diag(ledger.running_sum) == 0)

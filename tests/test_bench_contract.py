@@ -1,0 +1,25 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps soclabel functions by
+name and reads an absent one as 0. A rename must fail here instead of
+silently zeroing a per-layer metric."""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    absent = {
+        name for name, module, attr in tracer.TARGETS
+        if tracer._resolve(module, attr) is None
+    }
+    # Both were deleted with the per-sample selection path.
+    assert absent == {"clustering.pick_candidates", "labels.select_label"}

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soclabel.clustering import ClusterSet, _assign, kmedoids, select_targets
+from soclabel.clustering import (
+    ClusterSet,
+    _assign,
+    _initial_medoids,
+    cluster_labels,
+    kmedoids,
+    select_targets,
+)
 from soclabel.errors import InvalidK
 from soclabel.transitions import MAX_SIM, PredictionBank, SimilarityMatrix, TransitionLedger
 
@@ -143,11 +150,11 @@ def reference_kmedoids(sim, k, seed, max_iter=100):
 def ledger_similarity(rng, K, window, n_batches):
     """A ledger's similarity after n_batches random batches in which each
     id's prediction moves inside one group of 4 classes."""
-    ledger, bank = TransitionLedger(K, window), PredictionBank()
+    ledger, bank = TransitionLedger(K, window), PredictionBank(2 * K)
     for _ in range(n_batches):
         ids = rng.integers(0, 2 * K, size=int(rng.integers(1, 9)))
         preds = (ids // 4 * 4 + rng.integers(0, 4, size=ids.size)) % K
-        ledger.observe_batch(bank, zip(ids.tolist(), preds.tolist()))
+        ledger.observe_batch(bank, ids, preds)
     return ledger.similarity_matrix().values
 
 
@@ -222,6 +229,85 @@ class TestKmedoidsOracle:
         sim[0, 1] = np.nan
         with pytest.raises(ValueError):
             kmedoids(sim, 2, seed=0)
+
+
+class TestClusterLabels:
+    """One lockstep pass over a set of ks equals the per-cluster loop for
+    every k alone."""
+
+    @staticmethod
+    def assert_rows_match_reference(sim, ks, seed, max_iter):
+        labels, medoids, converged = cluster_labels(sim, ks, seed, max_iter)
+        for r, k in enumerate(ks):
+            ref_medoids, ref_clusters, ref_converged = reference_kmedoids(
+                sim, k, seed, max_iter
+            )
+            clusters = tuple(
+                frozenset(np.flatnonzero(labels[r] == j).tolist()) for j in range(k)
+            )
+            assert tuple(medoids[r, :k].tolist()) == ref_medoids
+            assert set(medoids[r, k:].tolist()) <= {ref_medoids[-1]}
+            assert clusters == ref_clusters
+            assert bool(converged[r]) == ref_converged
+
+    @staticmethod
+    def distinct_ks(rng, K):
+        """A random set of distinct ks in [2, K], in random order, often with K."""
+        ks = rng.choice(np.arange(2, K + 1), size=int(rng.integers(1, min(K - 1, 8) + 1)),
+                        replace=False)
+        if rng.random() < 0.3 and K not in ks:
+            ks[0] = K
+        return ks.tolist()
+
+    @given(
+        K=st.sampled_from([4, 32, 200]),
+        window=st.sampled_from([3, 300, 512]),
+        full=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        max_iter=st.sampled_from([1, 2, 100]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_ledger_windows(self, K, window, full, data_seed, seed, max_iter):
+        rng = np.random.default_rng(data_seed)
+        n_batches = window if full else int(rng.integers(1, window))
+        sim = ledger_similarity(rng, K, window, n_batches)
+        self.assert_rows_match_reference(sim, self.distinct_ks(rng, K), seed, max_iter)
+
+    @given(
+        K=st.sampled_from([4, 32, 200]),
+        kind=st.sampled_from(["dyadic", "duplicated", "negative"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        max_iter=st.sampled_from([1, 2, 100]),
+    )
+    # The tied 4+-member clusters of TestKmedoidsOracle, among other ks.
+    @example(K=32, kind="duplicated", data_seed=6, seed=0, max_iter=100)
+    @example(K=32, kind="duplicated", data_seed=123, seed=0, max_iter=1)
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy(self, K, kind, data_seed, seed, max_iter):
+        rng = np.random.default_rng(data_seed)
+        sim = tie_heavy_similarity(rng, kind, K)
+        ks = self.distinct_ks(rng, K)
+        if K == 32 and 11 not in ks:
+            ks.append(11)  # k of the pinned tie examples
+        self.assert_rows_match_reference(sim, ks, seed, max_iter)
+
+    def test_initial_medoids_restore_the_generator(self):
+        # Every k draws as a fresh default_rng(seed) would, whatever the
+        # ks drawn before it.
+        for seed in (0, 1, 2**31 - 1):
+            ks = np.array([5, 2, 40, 40, 3, 17])
+            medoids = _initial_medoids(40, ks, seed, 40)
+            for row, k in zip(medoids, ks.tolist()):
+                fresh = np.sort(np.random.default_rng(seed).choice(40, k, replace=False))
+                assert row.tolist() == fresh.tolist() + [fresh[-1]] * (40 - k)
+
+    def test_invalid_k_in_any_row(self):
+        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+        for ks in ([2, 5], [1, 3], [3, 0]):
+            with pytest.raises(InvalidK):
+                cluster_labels(sim, ks, seed=0)
 
 
 def peaked(argmaxes, n):

@@ -89,6 +89,21 @@ class TestEntropy:
         # -(0.625 ln 0.625 + 0.375 ln 0.375)
         assert entropy(prob(0.625, 0.375, 0.0)) == pytest.approx(0.66156, abs=1e-4)
 
+    @pytest.mark.parametrize("K", [2, 7, 8, 9, 32, 127, 128, 129, 200, 300])
+    def test_batch_equals_each_row_bit_for_bit(self, K):
+        # Supports of every size from 0 to K, so rows are summed in groups
+        # of many lengths, across the sum's 8- and 128-term block edges.
+        rng = np.random.default_rng(K)
+        for _ in range(20):
+            n = int(rng.integers(1, 60))
+            probs = rng.random((n, K)) ** 3
+            probs /= probs.sum(axis=1, keepdims=True)
+            support = rng.random((n, K)) < rng.random((n, 1))
+            support[rng.integers(0, n)] = rng.random() < 0.5  # an empty or full row
+            batch = np.where(support, probs, 0.0)
+            rows = np.array([entropy(row) for row in batch])
+            assert entropy(batch).tobytes() == rows.tobytes()
+
 
 def selected(classes, probs):
     """One-row batch: probs restricted to classes."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,39 +15,49 @@ from soclabel.transitions import (
 )
 
 
-def make(n_classes=6, window=4):
-    return TransitionLedger(n_classes, window), PredictionBank()
+def make(n_classes=6, window=4, n_ids=8):
+    return TransitionLedger(n_classes, window), PredictionBank(n_ids)
+
+
+def observe(ledger, bank, batch):
+    """observe_batch on a list of (sample_id, predicted_class) pairs."""
+    ids = [sample_id for sample_id, _ in batch]
+    preds = [pred for _, pred in batch]
+    return ledger.observe_batch(bank, ids, preds)
+
+
+A, B, C, X = range(4)  # sample ids
 
 
 class TestObserveBatch:
     def test_first_observation_records_nothing(self):
         ledger, bank = make()
-        bt = ledger.observe_batch(bank, [("a", 3)])
+        bt = observe(ledger, bank, [(A, 3)])
         assert len(bt) == 0
-        assert bank.get("a") == 3
+        assert bank.last_pred[A] == 3
 
     def test_transition_recorded(self):
         ledger, bank = make()
-        ledger.observe_batch(bank, [("a", 3)])
-        bt = ledger.observe_batch(bank, [("a", 5)])
-        assert bt.events == ((3, 5),)
-        assert bank.get("a") == 5
+        observe(ledger, bank, [(A, 3)])
+        bt = observe(ledger, bank, [(A, 5)])
+        assert bt.pairs.tolist() == [[3, 5]]
+        assert bank.last_pred[A] == 5
 
     def test_same_class_not_recorded(self):
         ledger, bank = make()
-        ledger.observe_batch(bank, [("a", 3)])
-        bt = ledger.observe_batch(bank, [("a", 3)])
+        observe(ledger, bank, [(A, 3)])
+        bt = observe(ledger, bank, [(A, 3)])
         assert len(bt) == 0
 
     def test_invalid_class(self):
         ledger, bank = make(n_classes=4)
         with pytest.raises(InvalidClass):
-            ledger.observe_batch(bank, [("a", 4)])
+            observe(ledger, bank, [(A, 4)])
 
     def test_version_increments(self):
         ledger, bank = make()
         for i in range(5):
-            ledger.observe_batch(bank, [("a", i % 3)])
+            observe(ledger, bank, [(A, i % 3)])
             assert ledger.version == i + 1
 
 
@@ -55,9 +66,9 @@ class TestSimilarity:
         # counts m->n of 3 then 1 (avg 2), n->m of 1 then 1 (avg 1)
         ledger, bank = make(n_classes=4, window=8)
         m, n = 0, 1
-        ledger.observe_batch(bank, [("a", m), ("b", m), ("c", m), ("x", n)])
-        ledger.observe_batch(bank, [("a", n), ("b", n), ("c", n), ("x", m)])
-        ledger.observe_batch(bank, [("a", m), ("x", n)])
+        observe(ledger, bank, [(A, m), (B, m), (C, m), (X, n)])
+        observe(ledger, bank, [(A, n), (B, n), (C, n), (X, m)])
+        observe(ledger, bank, [(A, m), (X, n)])
         # window now holds 3 batches: events {} ; {3x mn, 1x nm} ; {1x nm, 1x mn}
         w = len(ledger.window)
         expected = (4 / w + 2 / w) / 2
@@ -73,8 +84,8 @@ class TestSimilarity:
 
     def test_single_event_matrix(self):
         ledger, bank = make()
-        ledger.observe_batch(bank, [("a", 3)])
-        ledger.observe_batch(bank, [("a", 5)])
+        observe(ledger, bank, [(A, 3)])
+        observe(ledger, bank, [(A, 5)])
         sim = ledger.similarity_matrix()
         assert sim.ledger_version == 2
         # one event over a 2-batch window: avg 0.5, symmetrized 0.25
@@ -105,7 +116,7 @@ def test_window_oracle_and_symmetry(data):
                 st.tuples(st.integers(0, 4), st.integers(0, K - 1)), max_size=8
             )
         )
-        ledger.observe_batch(bank, batch)
+        observe(ledger, bank, batch)
     assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
     assert np.all(np.diag(ledger.running_sum) == 0)
     assert len(ledger.window) <= window
@@ -118,13 +129,27 @@ class TestSnapshot:
     def test_round_trip(self):
         ledger, bank = make()
         for step in range(7):
-            ledger.observe_batch(bank, [("a", step % 4), ("b", (step + 1) % 3)])
+            observe(ledger, bank, [(A, step % 4), (B, (step + 1) % 3)])
         restored = TransitionLedger.from_json(ledger.to_json())
         assert restored.n_classes == ledger.n_classes
         assert restored.window_size == ledger.window_size
         assert restored.version == ledger.version
         assert np.array_equal(restored.running_sum, ledger.running_sum)
-        assert [b.events for b in restored.window] == [b.events for b in ledger.window]
+        assert [b.pairs.tolist() for b in restored.window] == [
+            b.pairs.tolist() for b in ledger.window
+        ]
+
+    def test_seeded_ledger_bytes(self):
+        # 40 batches of 0 to 24 draws from 30 ids, repeats included, at K=12
+        # and window 5. The digest was made with the per-sample dict loop.
+        rng = np.random.default_rng(2024)
+        ledger, bank = make(n_classes=12, window=5, n_ids=30)
+        for _ in range(40):
+            ids = rng.integers(0, 30, size=int(rng.integers(0, 25)))
+            ledger.observe_batch(bank, ids, rng.integers(0, 12, size=ids.size))
+        assert hashlib.sha256(ledger.to_json().encode()).hexdigest() == (
+            "f05ea3726e1063048ce908c65870a646e93d92421f7b6da3e48b75dbc765f1e6"
+        )
 
     def test_magic_required(self):
         with pytest.raises(SchemaError):
@@ -137,8 +162,8 @@ class TestSnapshot:
     @staticmethod
     def snapshot(**override) -> dict:
         ledger, bank = make(n_classes=4, window=2)
-        ledger.observe_batch(bank, [("a", 1)])
-        ledger.observe_batch(bank, [("a", 2)])
+        observe(ledger, bank, [(A, 1)])
+        observe(ledger, bank, [(A, 2)])
         snap = json.loads(ledger.to_json())
         snap.update(override)
         return snap
@@ -175,3 +200,64 @@ class TestSnapshot:
         ):
             with pytest.raises(SchemaError):
                 TransitionLedger.from_json(json.dumps(self.snapshot(**override)))
+
+
+def reference_observe(bank: dict, window: list, window_size: int, running_sum, batch):
+    """The per-sample dict loop observe_batch replaced, on a dict bank and
+    a list of event tuples per batch. Returns the batch's events."""
+    events = []
+    for sample_id, pred in batch:
+        prev = bank.get(sample_id, -1)
+        if prev != -1 and prev != pred:
+            events.append((prev, pred))
+        bank[sample_id] = pred
+    if len(window) == window_size:
+        for m, n in window.pop(0):
+            running_sum[m, n] -= 1
+    window.append(events)
+    for m, n in events:
+        running_sum[m, n] += 1
+    return events
+
+
+class TestObserveOracle:
+    @given(
+        K=st.sampled_from([2, 3, 7, 32, 200]),
+        window=st.sampled_from([1, 2, 5]),
+        n_ids=st.integers(1, 40),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_loop(self, K, window, n_ids, data_seed):
+        # Batches of 0 to 60 draws from n_ids ids repeat ids often.
+        rng = np.random.default_rng(data_seed)
+        ledger, bank = make(K, window, n_ids)
+        ref_bank, ref_window = {}, []
+        ref_sum = np.zeros((K, K), dtype=np.int64)
+        for _ in range(int(rng.integers(1, 12))):
+            ids = rng.integers(0, n_ids, size=int(rng.integers(0, 61)))
+            preds = rng.integers(0, K, size=ids.size)
+            bt = ledger.observe_batch(bank, ids, preds)
+            events = reference_observe(ref_bank, ref_window, window, ref_sum,
+                                       list(zip(ids.tolist(), preds.tolist())))
+            assert [tuple(e) for e in bt.pairs.tolist()] == events
+            assert np.array_equal(ledger.running_sum, ref_sum)
+        assert [b.pairs.tolist() for b in ledger.window] == [
+            [list(e) for e in events] for events in ref_window
+        ]
+        expected = np.full(n_ids, -1)
+        expected[list(ref_bank)] = list(ref_bank.values())
+        assert bank.last_pred.tolist() == expected.tolist()
+
+    def test_repeated_id_moves_within_the_batch(self):
+        ledger, bank = make()
+        bt = observe(ledger, bank, [(A, 1), (B, 2), (A, 3), (A, 3), (A, 0)])
+        assert bt.pairs.tolist() == [[1, 3], [3, 0]]
+        assert bank.last_pred[[A, B]].tolist() == [0, 2]
+
+    def test_id_outside_bank_rejected(self):
+        ledger, bank = make(n_ids=4)
+        for bad in (4, -1):
+            with pytest.raises(ValueError):
+                observe(ledger, bank, [(bad, 1)])
+        assert ledger.version == 0
