@@ -12,6 +12,7 @@ import contextlib
 import json
 import os
 import sys
+from itertools import compress
 
 import numpy as np
 
@@ -40,57 +41,101 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 
 
-def _read_log(path: str):
-    """Parse an NDJSON prediction log into (records, final_step, n_classes).
+# Rows are normalized, checked and reduced to their argmax this many at a
+# time: one array pass per block instead of one per record, with the block
+# small next to the final step's rows.
+READ_BLOCK = 256
 
-    Every record is validated. records holds (step, id, argmax) for each
-    one; final_step holds (id, ProbVector) for the records of the highest
-    step, in file order. Only that step's probabilities are kept.
+
+def _parse_record(line: str, lineno: int, n_classes, seen: set):
+    """The (id, step, probs) of one log line, after every check that needs
+    only that line; raises SchemaError naming the line."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+    if not isinstance(rec, dict) or rec.get("schema") != LOG_SCHEMA:
+        raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
+    try:
+        sample_id = str(rec["id"])
+        step = int(rec["step"])
+        probs = np.asarray(rec["probs"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
+    if n_classes is not None and probs.size != n_classes:
+        raise SchemaError(f"line {lineno}: K mismatch ({probs.size} != {n_classes})")
+    if (sample_id, step) in seen:
+        raise SchemaError(f"line {lineno}: duplicate (id, step)")
+    if probs.ndim != 1:
+        raise SchemaError(f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")
+    seen.add((sample_id, step))
+    return sample_id, step, probs
+
+
+def _read_log(path: str):
+    """Parse an NDJSON prediction log into
+    (records, final_ids, final_probs, n_classes).
+
+    records holds (step, id, argmax) for every record, in file order.
+    final_ids and final_probs hold the ids and the normalized probability
+    rows of the records of the highest step, in file order; no other
+    step's probabilities are kept.
+
+    Each line's JSON, schema, fields, K, (id, step) and shape are checked
+    as it is read. Its probabilities then wait in a block of up to
+    READ_BLOCK rows, which is normalized, checked by labels.check_rows and
+    reduced to argmaxes in one pass. A block is checked before any later
+    line's error is raised, so the error is always the first bad line's,
+    with the message a record-by-record check gives.
     """
     records = []
-    final_step = []
+    final_ids, final_parts = [], []
     top_step = None
     n_classes = None
     seen = set()
+    block = []  # (lineno, step, id, probs) of the rows awaiting their check
+
+    def check_block():
+        nonlocal top_step, final_ids, final_parts
+        if not block:
+            return
+        linenos, steps, ids, raw = zip(*block)
+        block.clear()
+        raw = np.stack(raw)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = raw / raw.sum(axis=1, keepdims=True)
+        try:
+            lb.check_rows(rows)
+        except lb.InvalidRow as exc:
+            raise SchemaError(f"line {linenos[exc.row]}: bad probabilities ({exc})") from exc
+        records.extend(zip(steps, ids, rows.argmax(axis=1).tolist()))
+        high = max(steps)
+        if top_step is None or high > top_step:
+            top_step, final_ids, final_parts = high, [], []
+        keep = [step == top_step for step in steps]
+        if any(keep):
+            final_parts.append(rows[np.array(keep)])
+            final_ids.extend(compress(ids, keep))
+
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-            if rec.get("schema") != LOG_SCHEMA:
-                raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
-            try:
-                sample_id = str(rec["id"])
-                step = int(rec["step"])
-                probs = np.asarray(rec["probs"], dtype=float)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
-            if n_classes is None:
-                n_classes = probs.size
-            elif probs.size != n_classes:
-                raise SchemaError(
-                    f"line {lineno}: K mismatch ({probs.size} != {n_classes})"
-                )
-            if (sample_id, step) in seen:
-                raise SchemaError(f"line {lineno}: duplicate (id, step)")
-            seen.add((sample_id, step))
-            try:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    p = lb.ProbVector(probs / probs.sum())
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: bad probabilities ({exc})") from exc
-            records.append((step, sample_id, p.argmax()))
-            if top_step is None or step > top_step:
-                top_step, final_step = step, []
-            if step == top_step:
-                final_step.append((sample_id, p))
+                sample_id, step, probs = _parse_record(line, lineno, n_classes, seen)
+            except SchemaError:
+                # A row still in the block may hold an earlier error.
+                check_block()
+                raise
+            n_classes = probs.size
+            block.append((lineno, step, sample_id, probs))
+            if len(block) == READ_BLOCK:
+                check_block()
+    check_block()
     if not records:
         raise SchemaError("log contains no records")
-    return records, final_step, n_classes
+    return records, final_ids, np.concatenate(final_parts), n_classes
 
 
 def _replay(records, n_classes: int, window: int) -> TransitionLedger:
@@ -129,10 +174,9 @@ def _default_seed(args) -> int:
 
 
 def cmd_select(args) -> int:
-    records, final_step, n_classes = _read_log(args.log)
+    records, final_ids, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
-    probs = np.stack([p.probs for _, p in final_step])
     ks = select_k(policy, probs.max(axis=1)).tolist()
     targets, mask = select_targets(
         probs, ledger.similarity_matrix(), ks, seed=_default_seed(args)
@@ -141,7 +185,7 @@ def cmd_select(args) -> int:
     after = lb.entropy(targets).tolist()
     sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out:
-        for i, (sample_id, _) in enumerate(final_step):
+        for i, sample_id in enumerate(final_ids):
             out.write(json.dumps({
                 "id": sample_id,
                 "k": ks[i],
@@ -154,15 +198,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    records, final_step, n_classes = _read_log(args.log)
+    records, _, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     sim = ledger.similarity_matrix()
     if args.k is not None:
         k = args.k
     else:
         policy = _policy_from_args(args, n_classes)
-        confs = [p.confidence() for _, p in final_step]
-        k = int(select_k(policy, np.mean(confs)))
+        k = int(select_k(policy, probs.max(axis=1).mean()))
     clusters = kmedoids(sim.values, k, seed=_default_seed(args),
                         ledger_version=sim.ledger_version)
     print(clusters.to_json())

@@ -13,6 +13,42 @@ import numpy as np
 from .errors import ShapeMismatch, ZeroMass
 
 PROB_SUM_TOL = 1e-9
+NOT_A_VECTOR = "need a 1-D vector over K >= 2 classes"
+
+
+class InvalidRow(ValueError):
+    """A row of a batch is not a probability vector; `row` is its index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def check_rows(p: np.ndarray) -> None:
+    """Raise InvalidRow for the first row of the 2-D batch p that is not a
+    distribution over K >= 2 classes: finite, non-negative, and summing to
+    1 within PROB_SUM_TOL. A row failing several checks reports the first.
+
+    Each row is summed along axis 1 of a C-contiguous array, so its sum,
+    in the test and in the message, is bit for bit the one a lone row
+    would give.
+    """
+    p = np.ascontiguousarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise InvalidRow(0, NOT_A_VECTOR)
+    nonfinite = ~np.isfinite(p).all(axis=1)
+    negative = (p < 0).any(axis=1)
+    sums = p.sum(axis=1)
+    off = np.abs(sums - 1.0) > PROB_SUM_TOL
+    bad = nonfinite | negative | off
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if nonfinite[i]:
+        raise InvalidRow(i, "probabilities must be finite")
+    if negative[i]:
+        raise InvalidRow(i, "probabilities must be non-negative")
+    raise InvalidRow(i, f"probabilities sum to {sums[i]}, not 1")
 
 
 @dataclass(frozen=True)
@@ -24,21 +60,11 @@ class ProbVector:
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or p.size < 2:
-            raise ValueError("need a 1-D vector over K >= 2 classes")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
+        check_rows(p[None])
 
     def argmax(self) -> int:
         # np.argmax returns the first maximum: ties break to the lowest index.
         return int(np.argmax(self.probs))
-
-    def confidence(self) -> float:
-        return float(self.probs.max())
 
 
 def restrict(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -139,7 +139,12 @@ class TransitionLedger:
         if not isinstance(snap, dict) or snap.get("magic") != SNAPSHOT_MAGIC:
             raise SchemaError(f"expected magic {SNAPSHOT_MAGIC!r}")
         try:
-            ledger = cls(snap["n_classes"], snap["window_size"])
+            n_classes, window_size, version = (
+                snap["n_classes"], snap["window_size"], snap["version"])
+            # A float window size would never fill; a bool is an int to Python.
+            if any(type(v) is not int for v in (n_classes, window_size, version)):
+                raise SchemaError("n_classes, window_size and version must be integers")
+            ledger = cls(n_classes, window_size)
             K = ledger.n_classes
             if len(snap["window"]) > ledger.window_size:
                 # observe_batch evicts only at exactly window_size batches.
@@ -154,8 +159,8 @@ class TransitionLedger:
                     raise SchemaError(f"class index outside [0, {K})")
                 ledger.window.append(bt)
                 ledger._count(bt, 1)
-            ledger.version = int(snap["version"])
-        except (KeyError, TypeError, ValueError) as exc:
+            ledger.version = version
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
         return ledger
 

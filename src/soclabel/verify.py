@@ -242,23 +242,30 @@ def suite_cluster(trials: int = 500, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_losses(trials: int = 200, seed: int = 0, step: float = 1e-5) -> SuiteResult:
-    """Analytic cross-entropy gradient vs central finite differences."""
+def suite_losses(
+    trials: int = 200, seed: int = 0, step: float = 1e-5, grad_fn=cross_entropy_grad
+) -> SuiteResult:
+    """Analytic cross-entropy gradient (grad_fn) vs central finite differences.
+
+    Each trial's error is normwise, max|grad - fd| / max|fd|. A relative
+    error per component is dominated by the differencing's rounding on
+    components near zero, and failed correct gradients on some seeds.
+    """
     rng = np.random.default_rng(seed)
     res = SuiteResult("losses", 0, 0)
     for _ in range(trials):
         K = int(rng.integers(3, 20))
         logits = rng.normal(scale=3.0, size=K)
         target = rng.dirichlet(np.ones(K))
-        grad = cross_entropy_grad(target, logits)
+        grad = grad_fn(target, logits)
         fd = np.zeros(K)
         for c in range(K):
             up, down = logits.copy(), logits.copy()
             up[c] += step
             down[c] -= step
             fd[c] = (cross_entropy(target, up) - cross_entropy(target, down)) / (2 * step)
-        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
-        res.record(float(rel.max()) < 1e-5, float(rel.max()))
+        err = float(np.abs(grad - fd).max() / np.abs(fd).max())
+        res.record(err < 1e-5, err)
     return res
 
 

@@ -1,9 +1,28 @@
+import contextlib
+import importlib.util
+import io
 import json
+import math
+import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soclabel.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from soclabel import labels as lb
+from soclabel.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    LOG_SCHEMA,
+    READ_BLOCK,
+    _read_log,
+    main,
+)
+from soclabel.errors import SchemaError
 
 DATA = Path(__file__).parent / "data"
 TOY_LOG = str(DATA / "toy_log.ndjson")
@@ -13,6 +32,12 @@ GOLDEN = DATA / "golden_select.ndjson"
 # non-singleton clusters, so any change in how selection sums shows here.
 MULTI_LOG = str(DATA / "multi_log.ndjson")
 GOLDEN_MULTI = DATA / "golden_multi_select.ndjson"
+# `cluster MULTI_LOG --seed 0` output with --k 4 and with --policy linear.
+GOLDEN_CLUSTER = {
+    ("--k", "4"): DATA / "golden_multi_cluster_k4.json",
+    ("--policy", "linear"): DATA / "golden_multi_cluster_linear.json",
+}
+LOGGEN = Path(__file__).resolve().parent.parent / "perfbench" / "loggen.py"
 
 
 def run_select(tmp_path, *extra, log=TOY_LOG):
@@ -90,6 +115,11 @@ class TestLogErrors:
             "{not json",
             '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [0.0, 0.0]}',
             '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [1.5, -0.5]}',
+            # Not an object, an infinite step, a probability too large for a float.
+            "[1.0, 0.0]",
+            '{"schema": "soc-log-v1", "id": "b", "step": Infinity, "probs": [1, 0]}',
+            '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [1' + "0" * 400
+            + ", 0]}",
         )
         for bad in bad_lines:
             log.write_text(
@@ -118,8 +148,228 @@ class TestLogErrors:
         log.write_text('{"schema": "v0", "id": "a", "step": 0, "probs": [1.0, 0.0]}\n')
         assert main(["select", str(log)]) == EXIT_DATA
 
+    def test_probability_error_before_structural_error_in_one_block(self, tmp_path):
+        # Line 3's row waits in the block when line 5 fails its own check;
+        # the earlier line is the one reported.
+        good = '{"schema": "soc-log-v1", "id": "%s", "step": 0, "probs": [0.5, 0.5]}'
+        lines = [good % "a", good % "b",
+                 '{"schema": "soc-log-v1", "id": "c", "step": 0, "probs": [-1.0, 2.0]}',
+                 good % "d", good % "a"]
+        log = tmp_path / "two_faults.ndjson"
+        log.write_text("\n".join(lines) + "\n")
+        for read in (_read_log, reference_read_log):
+            with pytest.raises(SchemaError) as exc:
+                read(str(log))
+            assert str(exc.value) == (
+                "line 3: bad probabilities (probabilities must be non-negative)"
+            )
+
+
+def reference_read_log(path: str):
+    """The record-by-record parser that _read_log replaced, kept as the
+    oracle. It returns (records, final_step, n_classes), where final_step
+    holds (id, ProbVector) for the records of the highest step."""
+    records = []
+    final_step = []
+    top_step = None
+    n_classes = None
+    seen = set()
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+            if rec.get("schema") != LOG_SCHEMA:
+                raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
+            try:
+                sample_id = str(rec["id"])
+                step = int(rec["step"])
+                probs = np.asarray(rec["probs"], dtype=float)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
+            if n_classes is None:
+                n_classes = probs.size
+            elif probs.size != n_classes:
+                raise SchemaError(
+                    f"line {lineno}: K mismatch ({probs.size} != {n_classes})"
+                )
+            if (sample_id, step) in seen:
+                raise SchemaError(f"line {lineno}: duplicate (id, step)")
+            seen.add((sample_id, step))
+            try:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    p = lb.ProbVector(probs / probs.sum())
+            except ValueError as exc:
+                raise SchemaError(f"line {lineno}: bad probabilities ({exc})") from exc
+            records.append((step, sample_id, p.argmax()))
+            if top_step is None or step > top_step:
+                top_step, final_step = step, []
+            if step == top_step:
+                final_step.append((sample_id, p))
+    if not records:
+        raise SchemaError("log contains no records")
+    return records, final_step, n_classes
+
+
+PROB_FAULTS = ("nan", "inf", "-inf", "negative", "zero_row", "overflow", "nested")
+LINE_FAULTS = ("string_probs", "missing_field", "k_mismatch", "duplicate", "schema",
+               "malformed")
+
+
+def valid_rows(rng, n, K):
+    """Rows as a logger might write them: rounded to 6 decimals, scaled off
+    a sum of 1, small integers full of ties, or a top pair one ulp apart
+    that normalizing may tie, larger at the later index."""
+    rows = rng.dirichlet(np.full(K, rng.choice([0.1, 1.0, 10.0])), size=n)
+    style = rng.integers(0, 5, size=n)
+    rows[style == 1] = np.round(rows[style == 1], 6)
+    rows[style == 2] *= rng.uniform(0.5, 3.0, size=(int((style == 2).sum()), 1))
+    ties = rng.integers(0, 3, size=(int((style == 3).sum()), K)).astype(float)
+    ties[:, 0] += 1.0
+    rows[style == 3] = ties
+    near = rows[style == 4]
+    near[:, 0] = near.max(axis=1) * 1.7
+    near[:, 1] = np.nextafter(near[:, 0], np.inf)
+    rows[style == 4] = near
+    return rows
+
+
+def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
+    """Record i's line with a fault of the given kind."""
+    probs = rec["probs"]
+    j = int(rng.integers(K))
+    if kind in ("nan", "inf", "-inf", "negative"):
+        probs[j] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                    "negative": -0.25}[kind]
+    elif kind == "zero_row":
+        rec["probs"] = [0.0] * K
+    elif kind == "overflow":
+        rec["probs"] = [1e308] * K
+    elif kind == "nested":
+        rec["probs"] = [probs]
+    elif kind == "string_probs":
+        rec["probs"] = ["abc", "0.5", ["x"] * K][j % 3]
+    elif kind == "missing_field":
+        del rec[("schema", "id", "step", "probs")[j % 4]]
+    elif kind == "k_mismatch":
+        rec["probs"] = probs + [0.0] if j % 2 else probs[:-1]
+    elif kind == "duplicate" and len(keys) > 1:
+        rec["id"], rec["step"] = keys[i - 1] if i else keys[1]
+    elif kind == "schema":
+        rec["schema"] = "soc-log-v0"
+    line = json.dumps(rec)
+    if kind == "malformed":
+        line = line[: 1 + j % (len(line) - 1)]
+    return line
+
+
+@st.composite
+def fault_logs(draw):
+    """A log text near the block boundaries, with steps in or out of
+    order, blank lines, and up to two faults, at times a probability fault
+    followed by a line fault in the same block."""
+    K = draw(st.sampled_from((2, 3, 7, 8, 9, 32, 127, 128, 129, 200)))
+    n = draw(st.sampled_from(
+        (1, 2, 5, READ_BLOCK - 1, READ_BLOCK, READ_BLOCK + 1, 2 * READ_BLOCK + 1)))
+    n_ids = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = [(f"s{i % n_ids}", i // n_ids) for i in range(n)]
+    if draw(st.booleans()):
+        keys = [keys[i] for i in rng.permutation(n)]
+    at = st.one_of(st.sampled_from((0, READ_BLOCK - 1, READ_BLOCK, n - 1)),
+                   st.integers(0, n - 1)).map(lambda i: min(i, n - 1))
+    faults = dict(draw(st.lists(
+        st.tuples(at, st.sampled_from(PROB_FAULTS + LINE_FAULTS)), max_size=2)))
+    if n > 1 and draw(st.booleans()):
+        first = draw(st.integers(0, n - 2))
+        room = min(n - 1, (first // READ_BLOCK + 1) * READ_BLOCK - 1) - first
+        if room:
+            second = first + draw(st.integers(1, room))
+            faults = {first: draw(st.sampled_from(PROB_FAULTS)),
+                      second: draw(st.sampled_from(LINE_FAULTS))}
+    blanks = draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(("", "  ", "\t"))),
+                           max_size=3))
+
+    lines = []
+    for i, ((sample_id, step), row) in enumerate(zip(keys, valid_rows(rng, n, K).tolist())):
+        rec = {"schema": LOG_SCHEMA, "id": sample_id, "step": step, "probs": row}
+        lines.append(inject(rec, faults[i], rng, K, keys, i) if i in faults
+                     else json.dumps(rec))
+    for pos, blank in sorted(blanks, reverse=True):
+        lines.insert(pos, blank)
+    return "\n".join(lines) + "\n"
+
+
+class TestReadLogOracle:
+    """_read_log against the record-by-record parser: the same records,
+    final-step rows and K, or the same error and exit code."""
+
+    @given(text=fault_logs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_record_by_record_parser(self, tmp_path_factory, text):
+        log = tmp_path_factory.mktemp("oracle") / "log.ndjson"
+        log.write_text(text)
+        try:
+            expected = reference_read_log(str(log))
+        except SchemaError as exc:
+            expected = str(exc)
+        try:
+            got = _read_log(str(log))
+        except SchemaError as exc:
+            assert str(exc) == expected
+        else:
+            records, final_step, n_classes = expected
+            got_records, final_ids, final_probs, got_classes = got
+            assert got_records == records
+            assert final_ids == [sample_id for sample_id, _ in final_step]
+            want = np.stack([p.probs for _, p in final_step])
+            assert final_probs.dtype == want.dtype and final_probs.shape == want.shape
+            assert final_probs.tobytes() == want.tobytes()
+            assert got_classes == n_classes
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["select", str(log), "--policy", "fixed", "--k", "2",
+                         "--seed", "0", "--out", str(log.with_suffix(".out"))])
+        if isinstance(expected, str):
+            assert (code, stderr.getvalue()) == (EXIT_DATA, f"data error: {expected}\n")
+        else:
+            # Every k-policy needs K >= 3, so a valid K = 2 log is a usage error.
+            assert code == (EXIT_OK if expected[2] >= 3 else EXIT_USAGE)
+
+
+def load_loggen():
+    spec = importlib.util.spec_from_file_location("perfbench_loggen", LOGGEN)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_read_log_memory_stays_near_the_final_step(tmp_path):
+    # K=200, 1000 ids x 10 steps: the final step's rows take 1.6 MB, a
+    # stack of the whole log 16 MB.
+    log = tmp_path / "k200.ndjson"
+    log.write_text(load_loggen().generate_log(0).text)
+    tracemalloc.start()
+    try:
+        _read_log(str(log))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
 
 class TestCluster:
+    def test_golden_output(self, capsys):
+        for flags, golden in GOLDEN_CLUSTER.items():
+            assert main(["cluster", MULTI_LOG, "--seed", "0", *flags]) == EXIT_OK
+            assert capsys.readouterr().out == golden.read_text()
+
     def test_k_equals_n_singletons(self, capsys):
         code = main(["cluster", TOY_LOG, "--k", "4", "--seed", "0"])
         assert code == EXIT_OK

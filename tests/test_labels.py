@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from soclabel.errors import ShapeMismatch, ZeroMass
 from soclabel.labels import (
+    NOT_A_VECTOR,
+    InvalidRow,
     ProbVector,
+    check_rows,
     entropy,
     obj1_score,
     obj2_score,
@@ -42,6 +46,45 @@ class TestProbVector:
 
     def test_argmax_tie_breaks_low(self):
         assert prob(0.4, 0.4, 0.2).argmax() == 0
+
+
+class TestCheckRows:
+    """check_rows, the batch check behind ProbVector and the log parser."""
+
+    def test_first_bad_row_and_its_message(self):
+        uniform = np.full((5, 3), 1 / 3)
+        for row, message in (
+            ([math.nan, -1.0, 2.0], "probabilities must be finite"),
+            ([-0.5, 1.0, 0.5], "probabilities must be non-negative"),
+            ([0.5, 0.6, 0.1], f"probabilities sum to {np.sum([0.5, 0.6, 0.1])}, not 1"),
+        ):
+            batch = uniform.copy()
+            batch[2] = row
+            batch[4] = [2.0, 0.0, 0.0]
+            with pytest.raises(InvalidRow) as exc:
+                check_rows(batch)
+            assert (exc.value.row, str(exc.value)) == (2, message)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ProbVector(np.array(row))
+        check_rows(uniform)
+
+    def test_sum_in_message_is_the_lone_rows(self):
+        rng = np.random.default_rng(5)
+        for K in (2, 7, 8, 9, 32, 127, 128, 129, 200):
+            batch = rng.dirichlet(np.full(K, 0.3), size=40) * (1 + 1e-6)
+            for i in range(40):
+                with pytest.raises(InvalidRow) as exc:
+                    check_rows(batch[i:])
+                assert exc.value.row == 0
+                assert str(exc.value) == f"probabilities sum to {batch[i].sum()}, not 1"
+
+    def test_shape(self):
+        for bad in (np.ones(3) / 3, np.ones((4, 1)), np.ones((2, 2, 2)) / 2):
+            with pytest.raises(InvalidRow, match=NOT_A_VECTOR):
+                check_rows(bad)
+        for bad in (np.ones((2, 2)) / 2, np.float64(1.0)):
+            with pytest.raises(ValueError, match=NOT_A_VECTOR):
+                ProbVector(bad)
 
 
 class TestSelectLabel:

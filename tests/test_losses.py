@@ -15,6 +15,7 @@ from soclabel.losses import (
     softmax,
     total_loss,
 )
+from soclabel.verify import suite_losses
 
 
 def supervised_loss(logits, labels):
@@ -199,3 +200,28 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossReport(sup=float("nan"), cos=0.0, total=float("nan"), lambda_cos=1.0)
         LossReport(sup=1.0, cos=2.0, total=3.0, lambda_cos=1.0)
+
+
+class TestGradientCheckSuite:
+    """verify.suite_losses: a normwise finite-difference check that passes
+    the analytic gradient on every seed and fails a wrong one."""
+
+    def test_correct_gradient_passes_seeds_0_to_39(self):
+        # A per-component relative error fails seed 7 and eight others.
+        for seed in range(40):
+            res = suite_losses(seed=seed)
+            assert res.ok, (seed, res.failures)
+
+    def test_scaled_gradient_fails(self):
+        res = suite_losses(trials=50, seed=0,
+                           grad_fn=lambda t, z: cross_entropy_grad(t, z) * (1 + 1e-4))
+        assert res.passed == 0
+        assert min(res.failures) > 9e-5
+
+    def test_one_flipped_component_fails(self):
+        def flipped(target, logits):
+            grad = cross_entropy_grad(target, logits)
+            grad[0] = -grad[0]
+            return grad
+
+        assert suite_losses(trials=50, seed=0, grad_fn=flipped).passed == 0

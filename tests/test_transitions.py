@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -261,3 +262,71 @@ class TestObserveOracle:
             with pytest.raises(ValueError):
                 observe(ledger, bank, [(bad, 1)])
         assert ledger.version == 0
+
+
+SNAPSHOT_KEYS = ("n_classes", "window_size", "version", "window", "magic")
+# Values of the wrong type or range. Integers stay small, because a valid
+# n_classes allocates an n_classes x n_classes count matrix.
+ODD_VALUES = st.one_of(
+    st.sampled_from((None, True, False, 0, -1, 1.5, 3.0, math.inf, -math.inf, math.nan,
+                     10**30, -(10**30), "3", [], {})),
+    st.integers(-3, 40), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 5), max_size=3),
+)
+
+
+@st.composite
+def mutated_snapshots(draw):
+    """A valid snapshot's text after one to three mutations."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    K, window = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    ledger, bank = make(n_classes=K, window=window, n_ids=6)
+    for _ in range(draw(st.integers(0, 6))):
+        ids = rng.integers(0, 6, size=int(rng.integers(0, 8)))
+        ledger.observe_batch(bank, ids, rng.integers(0, K, size=ids.size))
+    snap = json.loads(ledger.to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ("class", "retype", "pair", "batch", "drop", "long_window", "truncate")))
+        if kind == "drop":
+            snap.pop(draw(st.sampled_from(SNAPSHOT_KEYS)), None)
+        elif kind == "retype":
+            snap[draw(st.sampled_from(SNAPSHOT_KEYS[:-1]))] = draw(ODD_VALUES)
+        elif kind in ("class", "pair", "batch") and isinstance(snap.get("window"), list):
+            value = draw(st.one_of(st.integers(-3, K + 3), ODD_VALUES))
+            event = [draw(st.integers(0, K - 1)), draw(st.integers(0, K - 1))]
+            if kind == "class":
+                event[draw(st.integers(0, 1))] = value
+            elif kind == "pair":
+                event = draw(st.sampled_from(([], [0], [0, 1, 1], "01", value)))
+            batch = [event] if kind != "batch" else value
+            # Replace a batch, so that a full window stays full.
+            at = draw(st.integers(0, max(len(snap["window"]) - 1, 0)))
+            snap["window"][at:at + 1] = [batch]
+        elif kind == "long_window":
+            snap["window"] = [[] for _ in range(window + draw(st.integers(1, 3)))]
+    text = json.dumps(snap)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+class TestSnapshotFuzz:
+    @given(text=mutated_snapshots())
+    @settings(max_examples=300, deadline=None)
+    def test_loads_valid_or_raises_schema_error(self, text):
+        try:
+            ledger = TransitionLedger.from_json(text)
+        except SchemaError:
+            return
+        # Whatever loads keeps the invariants observe_batch relies on.
+        K = ledger.n_classes
+        assert type(K) is int and K >= 2
+        assert type(ledger.window_size) is int and ledger.window_size >= 1
+        assert type(ledger.version) is int
+        assert len(ledger.window) <= ledger.window_size
+        for batch in ledger.window:
+            pairs = batch.pairs
+            assert np.all((pairs >= 0) & (pairs < K))
+            assert np.all(pairs[:, 0] != pairs[:, 1])
+        assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
