@@ -50,6 +50,13 @@ READ_BLOCK = 256
 def _parse_record(line: str, lineno: int, n_classes, seen: set):
     """The (id, step, probs) of one log line, after every check that needs
     only that line; raises SchemaError naming the line."""
+    # The log is read with surrogateescape, which turns bytes that are not
+    # UTF-8 into lone surrogates; those cannot be encoded back.
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"line {lineno}: not UTF-8") from exc
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -81,8 +88,8 @@ def _read_log(path: str):
     rows of the records of the highest step, in file order; no other
     step's probabilities are kept.
 
-    Each line's JSON, schema, fields, K, (id, step) and shape are checked
-    as it is read. Its probabilities then wait in a block of up to
+    Each line's UTF-8, JSON, schema, fields, K, (id, step) and shape are
+    checked as it is read. Its probabilities then wait in a block of up to
     READ_BLOCK rows, which is normalized, checked by labels.check_rows and
     reduced to argmaxes in one pass. A block is checked before any later
     line's error is raised, so the error is always the first bad line's,
@@ -102,7 +109,7 @@ def _read_log(path: str):
         linenos, steps, ids, raw = zip(*block)
         block.clear()
         raw = np.stack(raw)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = raw / raw.sum(axis=1, keepdims=True)
         try:
             lb.check_rows(rows)
@@ -117,7 +124,7 @@ def _read_log(path: str):
             final_parts.append(rows[np.array(keep)])
             final_ids.extend(compress(ids, keep))
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

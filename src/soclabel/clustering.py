@@ -80,8 +80,7 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     """Each class's cluster under every row of medoids: (K,) for one row,
     (K, rows) for a 2-D medoids array."""
     # Each row ascending, so the first argmax hit is the lowest-indexed
-    # medoid, and a repeated padding medoid never comes first. The MAX_SIM
-    # diagonal pins each medoid to its own cluster.
+    # medoid. The MAX_SIM diagonal pins each medoid to its own cluster.
     medoids = np.asarray(medoids)
     picked = sim.take(medoids.ravel(), axis=1)
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
@@ -121,23 +120,28 @@ def _sum_tolerance(sim_zero_diag: np.ndarray) -> float:
 
 
 def _update_medoids(
-    sim_zero_diag: np.ndarray, assignment: np.ndarray, ks: np.ndarray, tol: float
+    sim_zero_diag: np.ndarray,
+    assignment: np.ndarray,
+    clusters: np.ndarray,
+    real: np.ndarray,
+    tol: float,
+    check_empty: bool,
 ) -> np.ndarray:
     """Every cluster's member with the largest within-cluster similarity
     sum, ties to the lowest index, for every partition at once.
 
-    assignment[c, r] is class c's cluster in partition r, which has ks[r]
-    clusters. Returns one row per partition: its ks[r] medoids sorted,
-    padded to max(ks) by repeating the last.
+    assignment[c, r] is class c's cluster in partition r. clusters is
+    arange(width) for width = max(ks), and real[r, j] is j < ks[r].
+    Returns one row per partition: its ks[r] medoids sorted, then the
+    sentinel K in the columns past ks[r]. check_empty=False skips the
+    check that every real cluster has a member.
     """
     n, n_rows = assignment.shape
-    kmax = int(ks.max())
-    # Column r * kmax + j is cluster j of partition r; columns j >= ks[r]
+    width = clusters.size
+    # Column r * width + j is cluster j of partition r; columns j >= ks[r]
     # are empty.
-    member = (assignment[:, :, None] == np.arange(kmax)).reshape(n, n_rows * kmax)
-    size = member.sum(axis=0)
-    real = (np.arange(kmax) < ks[:, None]).ravel()
-    if not size[real].all():
+    member = (assignment[:, :, None] == clusters).reshape(n, n_rows * width)
+    if check_empty and not member.any(axis=0)[real.ravel()].all():
         raise ValueError("empty cluster: the diagonal must dominate its row")
     # within[c, col] is class c's similarity sum over cluster col if c is
     # in it, else -inf. argmax takes a column's first maximum: the lowest
@@ -149,32 +153,59 @@ def _update_medoids(
         # which is order-free. A larger one whose two best candidates are
         # within tol of each other (or whose gap is NaN after an overflow)
         # is summed again in the reference order.
-        large = np.flatnonzero(size > 3)
+        large = np.flatnonzero(member.sum(axis=0) > 3)
         runner_up, top = np.partition(within[:, large], -2, axis=0)[-2:]
         for col in large[~(top - runner_up > tol)].tolist():
             best[col] = _reference_medoid(sim_zero_diag, np.flatnonzero(member[:, col]))
-    best, real = best.reshape(n_rows, kmax), real.reshape(n_rows, kmax)
-    # Empty columns take the row's largest medoid, which sorts last.
-    last = np.where(real, best, -1).max(axis=1, keepdims=True)
-    return np.sort(np.where(real, best, last), axis=1)
+    # The sentinel n sorts after every class.
+    return np.sort(np.where(real, best.reshape(n_rows, width), n), axis=1)
 
 
-def _initial_medoids(n: int, ks: np.ndarray, seed: int, width: int) -> np.ndarray:
+def _initial_medoids(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
     """Row r: the sorted `default_rng(seed).choice(n, ks[r], replace=False)`,
-    padded to width by repeating its last entry. One generator serves every
-    k: its state is restored before each draw, so each k starts as a fresh
-    one would."""
-    rng = np.random.default_rng(seed)
-    bit_generator = rng.bit_generator
-    start = bit_generator.state
-    medoids = np.empty((ks.size, width), dtype=np.intp)
-    for r, k in enumerate(ks.tolist()):
-        bit_generator.state = start
-        chosen = rng.choice(n, size=k, replace=False)
-        chosen.sort()
-        medoids[r, :k] = chosen
-        medoids[r, k:] = chosen[-1]
-    return medoids
+    then the sentinel n up to width max(ks).
+
+    For n <= 10000 and k < n, choice runs Floyd's algorithm: draw i, for
+    i < k, is Lemire's bounded draw in [0, n-k+i] (Lemire, "Fast Random
+    Integer Generation in an Interval", arXiv 1805.10941), the high word
+    of u[i] * (n-k+i+1), where u is the fresh generator's 32-bit stream:
+    each 64-bit output, low half first. A draw already chosen is replaced
+    by n-k+i. So every k reads the same raw words, and one draw of
+    ceil(max(ks)/2) words seeds them all. A k with a draw that Lemire
+    would reject and redraw, and every k when n > 10000 (where choice may
+    shuffle instead), calls choice itself.
+    """
+    width = int(ks.max())
+    i = np.arange(width)
+    ks_col = ks[:, None]
+    words = np.random.default_rng(seed).bit_generator.random_raw((width + 1) // 2)
+    u = words.astype("<u8").view("<u4")[:width].astype(np.int64)
+    bound = (n + 1 + i) - ks_col
+    scaled = u * bound  # below 2**63 for n < 2**31
+    # Columns past k hold n + i: distinct, and sorted after every draw.
+    medoids = np.where(i < ks_col, scaled >> 32, n + i)
+    medoids.sort(axis=1)
+    # Lemire redraws when the low word is below (2**32 - bound) % bound.
+    # Unused columns are checked too, which only sends a rare k to choice.
+    redrawn = ((scaled & 0xFFFFFFFF) < (2**32 - bound) % bound).any(axis=1)
+    fallback = redrawn | (ks == n) | (n > 10000)
+    # Until one draw repeats another, no draw is replaced. A row with a
+    # repeat replays Floyd's loop.
+    repeats = (medoids[:, 1:] == medoids[:, :-1]).any(axis=1) & ~fallback
+    if repeats.any():
+        draws = (scaled >> 32).tolist()
+        for r in np.flatnonzero(repeats).tolist():
+            k = int(ks[r])
+            chosen = set()
+            for j, draw in enumerate(draws[r][:k]):
+                chosen.add(n - k + j if draw in chosen else draw)
+            medoids[r, :k] = sorted(chosen)
+    for r in np.flatnonzero(fallback).tolist():
+        k = int(ks[r])
+        # k == n takes every class; its one-value first bound draws nothing.
+        chosen = i[:k] if k == n else np.random.default_rng(seed).choice(n, k, replace=False)
+        medoids[r, :k] = np.sort(chosen)
+    return np.minimum(medoids, n)
 
 
 def cluster_labels(
@@ -207,33 +238,54 @@ def cluster_labels(
     if not np.isfinite(sim_zero_diag).all():
         raise ValueError("off-diagonal similarities must be finite")
     tol = _sum_tolerance(sim_zero_diag)
+    # Column n is a -inf sentinel. Medoid rows are padded with it, so a
+    # row never needs re-padding, and no argmax picks it: each class has
+    # a finite similarity to some medoid other than itself.
+    padded = np.empty((n, n + 1))
+    padded[:, :n] = sim
+    padded[:, n] = -np.inf
+    # With a +inf (MAX_SIM) diagonal each medoid joins its own cluster, and
+    # with exact sums (tol == 0) each cluster's best is one of its members.
+    # Then medoids stay distinct and no cluster can empty.
+    check_empty = not (tol == 0.0 and (sim.diagonal() == np.inf).all())
 
-    medoids = _initial_medoids(n, ks, seed, int(ks.max()))
-
+    medoids = _initial_medoids(n, ks, seed)
+    kmax = medoids.shape[1]
+    clusters = np.arange(kmax)
+    out_medoids = np.empty_like(medoids)
     labels = np.empty((ks.size, n), dtype=np.intp)
     converged = np.zeros(ks.size, dtype=bool)
-    # Partitions still iterating. One at its fixed point stays there, so
+    # Partitions still iterating, their ks, and their medoid rows cut to
+    # the largest of those ks. One at its fixed point stays there, so
     # dropping it stops it where its own loop would have stopped.
-    active = np.arange(ks.size)
-    assignment = _assign(sim, medoids)
+    active, ks_active, width = np.arange(ks.size), ks, kmax
+    real = clusters < ks[:, None]
+    assignment = _assign(padded, medoids)
     for _ in range(max_iter):
-        new = _update_medoids(sim_zero_diag, assignment, ks[active], tol)
-        width = new.shape[1]
-        fixed = (new == medoids[active, :width]).all(axis=1)
+        new = _update_medoids(
+            sim_zero_diag, assignment, clusters[:width], real, tol, check_empty
+        )
+        fixed = (new == medoids).all(axis=1)
         if fixed.any():
-            converged[active[fixed]] = True
-            labels[active[fixed]] = assignment[:, fixed].T
-            active, new = active[~fixed], new[~fixed]
+            done = active[fixed]
+            converged[done] = True
+            labels[done] = assignment[:, fixed].T
+            out_medoids[done, :width] = new[fixed]
+            keep = ~fixed
+            active, ks_active = active[keep], ks_active[keep]
             if not active.size:
                 break
-        # Columns past width keep an older padding until the final re-pad.
-        medoids[active, :width] = new
-        assignment = _assign(sim, medoids[active, : int(ks[active].max())])
+            width = int(ks_active.max())
+            new, real = new[keep, :width], real[keep, :width]
+        medoids = new
+        assignment = _assign(padded, medoids)
     else:
         # max_iter reached: the latest assignment, not converged.
         labels[active] = assignment.T
-    padding = np.minimum(np.arange(medoids.shape[1]), ks[:, None] - 1)
-    return labels, np.take_along_axis(medoids, padding, axis=1), converged
+        out_medoids[active, :width] = medoids
+    # Columns past k repeat the last medoid.
+    padding = np.minimum(clusters, ks[:, None] - 1)
+    return labels, out_medoids[np.arange(ks.size)[:, None], padding], converged
 
 
 def kmedoids(
@@ -266,10 +318,11 @@ def kmedoids(
     the reference order. Off-diagonal entries must be finite.
 
     Lockstep: cluster_labels runs every k of one call together. It checks
-    the matrix once, and restores the generator's state before each k's
-    `choice`, so each k starts where a fresh `default_rng(seed)` would.
-    Each k's medoid row is padded to the largest k by repeating its last
-    medoid, which the first-hit argmax never picks. One matrix product
+    the matrix once, and seeds every k from one raw draw of a fresh
+    `default_rng(seed)`, which gives each k the medoids its own `choice`
+    would (see _initial_medoids). Each k's medoid row is padded to the
+    largest k with a sentinel column of -inf similarity, which no argmax
+    picks and which sorts after every class. One matrix product
     updates the medoids of every k, and the three rules above apply to
     each cluster on its own. A k at its fixed point leaves the pass, as
     its own loop would have stopped there, so each k's labels, medoids
@@ -294,11 +347,19 @@ def select_targets(
     every distinct k in one cluster_labels pass. Returns (targets, mask),
     both (n, K).
     """
-    n = pnorm.shape[0]
-    distinct, which = np.unique(np.asarray(ks, dtype=int), return_inverse=True)
-    # labels_by_k[u, c] is the cluster of class c in the distinct[u]-partition.
-    labels_by_k, _, _ = cluster_labels(sim.values, distinct, seed, max_iter)
-    assignment = labels_by_k[which]
-    p_hat = pnorm.argmax(axis=1)
-    mask = assignment == assignment[np.arange(n), p_hat][:, None]
+    ks = np.asarray(ks, dtype=np.intp).reshape(-1)
+    n_classes = sim.values.shape[0]
+    low, high = int(ks.min()), int(ks.max())
+    if low < 2 or high > n_classes:
+        # The smallest bad k, which cluster_labels would name.
+        bad = low if low < 2 else int(ks[ks > n_classes].min())
+        raise InvalidK(f"k={bad} outside [2, {n_classes}]")
+    present = np.bincount(ks, minlength=n_classes + 1).astype(bool)
+    # which[i] is the row of ks[i] among the distinct ks, in ascending order.
+    which = (np.cumsum(present) - 1)[ks]
+    # labels_by_k[u, c] is the cluster of class c in the u-th distinct k's
+    # partition; same[u, a, c] is whether a and c share that cluster.
+    labels_by_k, _, _ = cluster_labels(sim.values, np.flatnonzero(present), seed, max_iter)
+    same = labels_by_k[:, :, None] == labels_by_k[:, None, :]
+    mask = same[which, pnorm.argmax(axis=1)]
     return restrict(pnorm, mask), mask

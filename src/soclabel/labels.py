@@ -38,7 +38,8 @@ def check_rows(p: np.ndarray) -> None:
         raise InvalidRow(0, NOT_A_VECTOR)
     nonfinite = ~np.isfinite(p).all(axis=1)
     negative = (p < 0).any(axis=1)
-    sums = p.sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = p.sum(axis=1)
     off = np.abs(sums - 1.0) > PROB_SUM_TOL
     bad = nonfinite | negative | off
     if not bad.any():

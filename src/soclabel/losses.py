@@ -46,6 +46,19 @@ def cross_entropy_grad(target: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return softmax(logits) - np.asarray(target, dtype=float)
 
 
+def cross_entropy_terms(
+    target: np.ndarray, logits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(cross_entropy_per_sample, cross_entropy_grad) of one batch from a
+    single log_softmax, bit for bit the two functions' results."""
+    target = np.asarray(target, dtype=float)
+    logits = np.asarray(logits, dtype=float)
+    if target.shape != logits.shape:
+        raise ShapeMismatch("target and logits shapes differ")
+    log_p = log_softmax(logits)
+    return -np.sum(target * log_p, axis=-1), np.exp(log_p) - target
+
+
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=int)
     out = np.zeros((labels.size, n_classes))

@@ -15,13 +15,11 @@ import numpy as np
 
 from . import labels as lb
 from .clustering import select_targets
-from .errors import ConfigError, DivergedAtIteration
+from .errors import ConfigError, DivergedAtIteration, EmptyBatch
 from .kselect import KPolicy, select_k
 from .losses import (
     LossReport,
-    cross_entropy,
-    cross_entropy_grad,
-    cross_entropy_per_sample,
+    cross_entropy_terms,
     fixmatch_weights,
     one_hot,
     softmax,
@@ -284,9 +282,11 @@ def soc_step(
 
     xw_lab = aug(x_lab, "weak")
     logits_lab = model.logits(xw_lab)
-    target_lab = one_hot(y_lab, model.bias.size)
-    sup = cross_entropy(target_lab, logits_lab)
-    grad_lab = cross_entropy_grad(target_lab, logits_lab) / B
+    per_sample, grad_lab = cross_entropy_terms(one_hot(y_lab, model.bias.size), logits_lab)
+    if per_sample.size == 0:
+        raise EmptyBatch("cross-entropy of an empty batch")
+    sup = float(per_sample.mean())
+    grad_lab /= B
 
     # Weak/strong branches run (and consume augmentation randomness) in
     # every arm so trajectories stay comparable across baselines.
@@ -303,13 +303,10 @@ def soc_step(
         weights = np.ones(muB)
         if config.baseline == "fixmatch":
             weights = fixmatch_weights(probs_weak, config.tau)
-        per_sample = cross_entropy_per_sample(targets, strong_logits) * weights
-        cos = float(per_sample.mean())
-        grad_strong = (
-            cross_entropy_grad(targets, strong_logits)
-            * weights[:, None]
-            * (config.lambda_cos / muB)
-        )
+        per_sample, grad_strong = cross_entropy_terms(targets, strong_logits)
+        cos = float((per_sample * weights).mean())
+        grad_strong *= weights[:, None]
+        grad_strong *= config.lambda_cos / muB
     else:
         cos = 0.0
         grad_strong = None
@@ -418,18 +415,19 @@ def entropy_vs_k(
     subset: int | None = None,
 ) -> list[float]:
     """Mean selected-label entropy over the unlabeled set for each fixed k,
-    against one frozen ledger."""
+    against one frozen ledger. One select_targets call clusters every k,
+    on one copy of the rows per k."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
     probs = softmax(model.logits(x))
     pnorm = probs / probs.sum(axis=1, keepdims=True)
-    sim = ledger.similarity_matrix()
-    means = []
-    for k in ks:
-        targets, _ = select_targets(
-            pnorm, sim, np.full(len(pnorm), k), seed=seed, max_iter=max_iter
-        )
-        means.append(float(np.mean(lb.entropy(targets))))
-    return means
+    n = len(pnorm)
+    targets, _ = select_targets(
+        np.tile(pnorm, (len(ks), 1)), ledger.similarity_matrix(), np.repeat(ks, n),
+        seed=seed, max_iter=max_iter,
+    )
+    entropies = lb.entropy(targets)
+    # Each k's mean over its own contiguous slice, as a lone k's run takes it.
+    return [float(np.mean(entropies[r * n:(r + 1) * n])) for r in range(len(ks))]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from .errors import InvalidClass, SchemaError
 UNOBSERVED = -1
 MAX_SIM = np.inf
 SNAPSHOT_MAGIC = "SOC-CTT-v1"
+# The ledger keeps dense K x K int64 counts: 2 GiB at this many classes.
+MAX_SNAPSHOT_CLASSES = 2**14
 
 
 class PredictionBank:
@@ -144,6 +146,12 @@ class TransitionLedger:
             # A float window size would never fill; a bool is an int to Python.
             if any(type(v) is not int for v in (n_classes, window_size, version)):
                 raise SchemaError("n_classes, window_size and version must be integers")
+            # Checked before the constructor allocates the counts.
+            if n_classes > MAX_SNAPSHOT_CLASSES:
+                raise SchemaError(f"n_classes {n_classes} > {MAX_SNAPSHOT_CLASSES}")
+            # Training seeds k-medoids with seed + version.
+            if version < 0:
+                raise SchemaError(f"version {version} is negative")
             ledger = cls(n_classes, window_size)
             K = ledger.n_classes
             if len(snap["window"]) > ledger.window_size:

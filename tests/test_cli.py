@@ -3,7 +3,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import sys
+import subprocess
 import tracemalloc
 from pathlib import Path
 
@@ -38,6 +40,7 @@ GOLDEN_CLUSTER = {
     ("--policy", "linear"): DATA / "golden_multi_cluster_linear.json",
 }
 LOGGEN = Path(__file__).resolve().parent.parent / "perfbench" / "loggen.py"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_select(tmp_path, *extra, log=TOY_LOG):
@@ -128,6 +131,37 @@ class TestLogErrors:
             )
             assert main(["select", str(log)]) == EXIT_DATA
             assert "line 2" in capsys.readouterr().err
+
+    def test_line_not_utf8_reports_number(self, tmp_path, capsys):
+        # The first undecodable line is named, whether it is the first
+        # line or follows good ones; a good line after it changes nothing.
+        good = b'{"schema": "soc-log-v1", "id": "%s", "step": 0, "probs": [0.5, 0.5]}\n'
+        bad = b'\xff\xfe{"schema": "soc-log-v1", "id": "x", "step": 0, "probs": [1, 0]}\n'
+        log = tmp_path / "latin.ndjson"
+        for lines, lineno in (([bad, good % b"a"], 1),
+                              ([good % b"a", good % b"b", bad, bad], 3),
+                              ([good % b"a", good % b"\xe9"], 2)):
+            log.write_bytes(b"".join(lines))
+            assert main(["select", str(log)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err == f"data error: line {lineno}: not UTF-8\n"
+
+    def test_overflowing_row_prints_one_line(self, tmp_path):
+        # Finite probabilities whose sum overflows, and a row normalized
+        # to +-inf, fail with the data error alone: no numpy warning. A
+        # fresh interpreter prints warnings as a user would see them.
+        log = tmp_path / "overflow.ndjson"
+        for probs, message in (("[1e308, 1e308, 0.5]", "sum to 0.0, not 1"),
+                               ("[1.0, -1.0]", "must be finite")):
+            log.write_text('{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": %s}\n'
+                           % probs)
+            done = subprocess.run(
+                [sys.executable, "-m", "soclabel.cli", "select", str(log)],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert done.returncode == EXIT_DATA
+            assert done.stderr == (
+                f"data error: line 1: bad probabilities (probabilities {message})\n")
 
     def test_k_mismatch(self, tmp_path):
         log = tmp_path / "mismatch.ndjson"

@@ -295,13 +295,52 @@ class TestClusterLabels:
 
     def test_initial_medoids_restore_the_generator(self):
         # Every k draws as a fresh default_rng(seed) would, whatever the
-        # ks drawn before it.
+        # ks drawn before it, and is padded with the sentinel column 40.
         for seed in (0, 1, 2**31 - 1):
             ks = np.array([5, 2, 40, 40, 3, 17])
-            medoids = _initial_medoids(40, ks, seed, 40)
+            medoids = _initial_medoids(40, ks, seed)
             for row, k in zip(medoids, ks.tolist()):
                 fresh = np.sort(np.random.default_rng(seed).choice(40, k, replace=False))
-                assert row.tolist() == fresh.tolist() + [fresh[-1]] * (40 - k)
+                assert row.tolist() == fresh.tolist() + [40] * (40 - k)
+
+    @given(
+        n=st.sampled_from([2, 3, 32, 200, 10000, 10001, 20000]),
+        picks=st.lists(st.integers(0, 2**32), min_size=1, max_size=6),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    # A draw of k=9990 that Lemire's method rejects: the fallback to choice.
+    @example(n=10000, picks=[9988], seed=4)
+    @settings(max_examples=60, deadline=None)
+    def test_one_draw_seeding_matches_choice(self, n, picks, seed):
+        # Row r is the sorted choice of a fresh generator for ks[r], for
+        # k = 2 and k = n among random ks, on both sides of n = 10000,
+        # where choice switches from Floyd's algorithm to a shuffle.
+        ks = np.array([2, n] + [2 + pick % (n - 1) for pick in picks])
+        medoids = _initial_medoids(n, ks, seed)
+        for row, k in zip(medoids, ks.tolist()):
+            fresh = np.sort(np.random.default_rng(seed).choice(n, k, replace=False))
+            assert np.array_equal(row[:k], fresh)
+            assert (row[k:] == n).all()
+
+    def test_empty_cluster_raises(self):
+        # Under a zero diagonal each class leaves its own medoid, and none
+        # joins medoid 2; with exact sums and with inexact ones.
+        for strong in (5.0, 5.0 / 3):
+            sim = np.array([[0.0, strong, 1.0], [strong, 0.0, 1.0], [1.0, 1.0, 0.0]])
+            with pytest.raises(ValueError, match="empty cluster"):
+                cluster_labels(sim, [2, 3], seed=0)
+
+    def test_overflowing_sums_can_empty_a_cluster(self):
+        # Under a MAX_SIM diagonal, cluster {1, 2, 4}'s sums all overflow
+        # to -inf, so its argmax is class 0 of the other cluster {0, 3},
+        # which also picks 0. The next pass leaves one cluster empty.
+        seed = next(s for s in range(1000) if sorted(
+            np.random.default_rng(s).choice(5, 2, replace=False).tolist()) == [1, 3])
+        sim = np.full((5, 5), -1e308)
+        sim[0, 3] = sim[3, 0] = -1.0
+        np.fill_diagonal(sim, MAX_SIM)
+        with pytest.raises(ValueError, match="empty cluster"):
+            cluster_labels(sim, [2], seed=seed)
 
     def test_invalid_k_in_any_row(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
@@ -332,6 +371,12 @@ class TestPickCandidates:
         targets, mask = select_targets(peaked([7], 8), sim, [8], seed=0)
         assert np.flatnonzero(mask[0]).tolist() == [7]
         assert targets[0].tolist() == [0.0] * 7 + [1.0]
+
+    def test_invalid_k_names_the_smallest(self):
+        sim = SimilarityMatrix(sim_with_blocks(({0, 1}, {2, 3}), 4), 0)
+        for ks, bad in (([2, 6, 5], 5), ([3, 0, -1, 9], -1), ([4, 1], 1)):
+            with pytest.raises(InvalidK, match=f"k={bad} outside"):
+                select_targets(peaked([0] * len(ks), 4), sim, ks, seed=0)
 
     def test_always_contains_query(self):
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ from soclabel.losses import (
     cross_entropy,
     cross_entropy_grad,
     cross_entropy_per_sample,
+    cross_entropy_terms,
     fixmatch_weights,
     log_softmax,
     one_hot,
@@ -85,6 +86,24 @@ class TestGradient:
                     2 * step
                 )
                 assert grad[c] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+class TestCrossEntropyTerms:
+    def test_bits_equal_the_two_functions(self):
+        # Soft, one-hot and all-zero targets, saturated logits included.
+        rng = np.random.default_rng(2)
+        for scale in (0.1, 3.0, 300.0):
+            logits = rng.normal(scale=scale, size=(40, 32))
+            for target in (rng.dirichlet(np.ones(32), size=40),
+                           one_hot(rng.integers(0, 32, size=40), 32),
+                           np.zeros((40, 32))):
+                per_sample, grad = cross_entropy_terms(target, logits)
+                assert np.array_equal(per_sample, cross_entropy_per_sample(target, logits))
+                assert np.array_equal(grad, cross_entropy_grad(target, logits))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            cross_entropy_terms(np.full((2, 3), 1 / 3), np.zeros((2, 4)))
 
 
 class TestSupervisedLoss:

@@ -3,8 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from soclabel.clustering import select_targets
 from soclabel.errors import ConfigError
 from soclabel.kselect import KPolicy
+from soclabel.labels import entropy
+from soclabel.losses import softmax
 from soclabel.sim import (
     Dataset,
     SimConfig,
@@ -208,6 +211,37 @@ class TestTrainingLoop:
             "fc4b1530f96a93a303687ec60587003de894ab0e36b52d18818695c52b34b223")
         assert hashlib.sha256(weights).hexdigest() == (
             "e96232cab177af0a57ddcc978480c55963b0a846d499dad883579562b5082b4a")
+
+    def test_pinned_soc_trajectory_k200(self, tmp_path):
+        # K=200 in 40 super-classes of 5, the class count of Semi-Aves and
+        # Semi-Fungi. With lr 0.3 a cluster_labels call clusters 17
+        # distinct ks on average (up to 28), on partial and full windows.
+        spec = SyntheticDatasetSpec(n_super=40, fine_per_super=5,
+                                    unlabeled_per_class=40, test_per_class=10)
+        config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes), window=8,
+                           iters=60, eval_every=10, warmup_epochs=0, lr=0.3, seed=0)
+        state = run(config, generate_dataset(spec))
+        csv = tmp_path / "metrics.csv"
+        write_metrics_csv(state.history, csv)
+        weights = state.model.weights.tobytes() + state.model.bias.tobytes()
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "53904ace13d8545cb06d783e7b81d2b68dc5cd7866b48c58915e00b5be0df783")
+        assert hashlib.sha256(weights).hexdigest() == (
+            "fe8bf66297490debac8e38e962f0f49196962bf2f6e9ba16611ec46183d4e259")
+
+    def test_entropy_vs_k_equals_one_k_at_a_time(self):
+        # The single pass over every k gives each k's mean bit for bit as
+        # a lone k's select_targets run, repeated ks included.
+        ds = generate_dataset(SMALL_SPEC)
+        state = run(small_config(iters=200, eval_every=100), ds)
+        ks = (8, 2, 3, 2, 5)
+        means = entropy_vs_k(state.model, ds, state.ledger, ks=ks, seed=4, subset=150)
+        probs = softmax(state.model.logits(ds.x_unlabeled[:150]))
+        pnorm = probs / probs.sum(axis=1, keepdims=True)
+        sim = state.ledger.similarity_matrix()
+        for k, mean in zip(ks, means):
+            targets, _ = select_targets(pnorm, sim, np.full(150, k), seed=4)
+            assert mean == float(np.mean(entropy(targets)))
 
     def test_final_score_is_tail_mean(self):
         ds = generate_dataset(SMALL_SPEC)

@@ -187,6 +187,17 @@ class TestSnapshot:
             with pytest.raises(SchemaError, match=field):
                 TransitionLedger.from_json(json.dumps(snap))
 
+    def test_impossible_n_classes_rejected_before_allocation(self):
+        # 10**7 classes would need 728 TiB of counts.
+        for n_classes in (10**7, 2**14 + 1):
+            with pytest.raises(SchemaError, match="n_classes"):
+                TransitionLedger.from_json(json.dumps(self.snapshot(n_classes=n_classes)))
+
+    def test_negative_version_rejected(self):
+        with pytest.raises(SchemaError, match="version"):
+            TransitionLedger.from_json(json.dumps(self.snapshot(version=-1)))
+        assert TransitionLedger.from_json(json.dumps(self.snapshot(version=0))).version == 0
+
     def test_malformed_fields(self):
         for override in (
             {"window": [[[2, 2]]]},  # self-transition
