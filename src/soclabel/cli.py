@@ -17,8 +17,8 @@ from itertools import compress
 import numpy as np
 
 from . import labels as lb
-from .clustering import kmedoids, select_targets
-from .errors import ConfigError, SchemaError, SocLabelError
+from .clustering import cluster_labels, select_targets
+from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
 from .kselect import KPolicy, select_k
 from .losses import softmax
 from .sim import (
@@ -181,6 +181,8 @@ def _default_seed(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.nb < 1:
+        raise ConfigError(f"--nb must be positive, got {args.nb}")
     records, final_ids, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
@@ -205,6 +207,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    if args.nb < 1:
+        raise ConfigError(f"--nb must be positive, got {args.nb}")
     records, _, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     sim = ledger.similarity_matrix()
@@ -213,9 +217,14 @@ def cmd_cluster(args) -> int:
     else:
         policy = _policy_from_args(args, n_classes)
         k = int(select_k(policy, probs.max(axis=1).mean()))
-    clusters = kmedoids(sim.values, k, seed=_default_seed(args),
-                        ledger_version=sim.ledger_version)
-    print(clusters.to_json())
+    labels, medoids, converged = cluster_labels(sim.values, [k], seed=_default_seed(args))
+    print(json.dumps({
+        "k": k,
+        "medoids": medoids[0].tolist(),
+        "clusters": [np.flatnonzero(labels[0] == j).tolist() for j in range(k)],
+        "ledger_version": sim.ledger_version,
+        "converged": bool(converged[0]),
+    }))
     return EXIT_OK
 
 
@@ -223,9 +232,11 @@ def _load_config(path) -> dict:
     """The parsed JSON config file, or {} without one."""
     if not path:
         return {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict) or not all(
@@ -301,6 +312,10 @@ def cmd_verify(args) -> int:
 
 def cmd_entropy_sweep(args) -> int:
     config, spec = config_from_dict(_load_config(args.config))
+    # Checked here, not by the sweep after the run: training takes seconds.
+    for k in args.ks:
+        if not 2 <= k <= spec.n_classes:
+            raise InvalidK(f"k={k} outside [2, {spec.n_classes}]")
     dataset = generate_dataset(spec)
     state = run(config, dataset)
     means = entropy_vs_k(state.model, dataset, state.ledger, args.ks,

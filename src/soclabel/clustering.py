@@ -9,71 +9,13 @@ lowest class index so results are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidK
 from .labels import restrict
 from .transitions import SimilarityMatrix
-
-
-@dataclass(frozen=True, eq=False)
-class ClusterSet:
-    """A partition of {0..K-1} into k clusters with one medoid each.
-
-    labels[c] is the cluster index of class c; cluster j holds medoids[j].
-    """
-
-    labels: np.ndarray
-    medoids: tuple
-    k: int
-    ledger_version: int
-    converged: bool = True
-
-    def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.intp)
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1 or len(self.medoids) != self.k:
-            raise ValueError("need one label per class and one medoid per cluster")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValueError("cluster label outside [0, k)")
-        if labels[list(self.medoids)].tolist() != list(range(self.k)):
-            raise ValueError("medoid outside its cluster")
-
-    @property
-    def clusters(self) -> tuple:
-        """clusters[j] is the frozenset of classes in cluster j."""
-        return tuple(frozenset(members) for members in self._members())
-
-    def _members(self) -> list:
-        return [np.flatnonzero(self.labels == j).tolist() for j in range(self.k)]
-
-    def _key(self) -> tuple:
-        return (tuple(self.labels.tolist()), tuple(self.medoids), self.k,
-                self.ledger_version, self.converged)
-
-    def __eq__(self, other):
-        if not isinstance(other, ClusterSet):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "medoids": list(self.medoids),
-                "clusters": self._members(),
-                "ledger_version": self.ledger_version,
-                "converged": self.converged,
-            }
-        )
 
 
 def _assign(sim: np.ndarray, medoids) -> np.ndarray:
@@ -217,8 +159,36 @@ def cluster_labels(
     class c in the ks[r]-partition, medoids[r, :ks[r]] its sorted medoids
     (padded to max(ks) by repeating the last), and converged[r] whether
     that partition reached its fixed point within max_iter iterations.
-    Row r equals `kmedoids(sim, ks[r], seed, max_iter)` bit for bit; see
-    kmedoids for the tie and sum-order contract.
+    When max_iter is hit first, row r holds the latest assignment.
+
+    Seeding: row r starts from `default_rng(seed).choice(K, ks[r],
+    replace=False)`, sorted, so each row is deterministic for fixed
+    (sim, ks[r], seed, max_iter).
+
+    Ties: a class joins the lowest-indexed of its most similar medoids,
+    and a cluster's new medoid is the lowest-indexed of the members with
+    the largest within-cluster similarity sum (the diagonal excluded).
+
+    Sum order: each row equals summing each cluster's rows in member
+    order, `sim[members][:, members].sum(axis=1)`, bit for bit. The
+    within-cluster sums come from one matrix product, whose order differs,
+    so the update keeps the reference answer three ways: when every
+    off-diagonal entry is a multiple of 2**-p and their absolute total
+    is below 2**(53 - p), every order is exact; a cluster of at most 3
+    members has order-free sums; and any other cluster whose two best
+    candidates are within the summation error bound is summed again in
+    the reference order. Off-diagonal entries must be finite.
+
+    Lockstep: every k runs in the same pass. The matrix is checked once,
+    and every k is seeded from one raw draw of a fresh `default_rng(seed)`,
+    which gives each k the medoids its own `choice` would (see
+    _initial_medoids). Each k's medoid row is padded to the largest k with
+    a sentinel column of -inf similarity, which no argmax picks and which
+    sorts after every class. One matrix product updates the medoids of
+    every k, and the three rules above apply to each cluster on its own.
+    A k at its fixed point leaves the pass, as a pass over that k alone
+    would have stopped there, so row r is the same whichever other ks
+    share the call.
     """
     sim = np.asarray(sim, dtype=float)
     n = sim.shape[0]
@@ -286,51 +256,6 @@ def cluster_labels(
     # Columns past k repeat the last medoid.
     padding = np.minimum(clusters, ks[:, None] - 1)
     return labels, out_medoids[np.arange(ks.size)[:, None], padding], converged
-
-
-def kmedoids(
-    sim: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 100,
-    ledger_version: int = 0,
-) -> ClusterSet:
-    """Cluster the K classes given a symmetric similarity matrix.
-
-    The one-k case of cluster_labels, as a ClusterSet. Deterministic for
-    fixed (sim, k, seed, max_iter): the initial medoids are
-    `default_rng(seed).choice(K, k, replace=False)`, sorted. When max_iter
-    is hit before the medoid set stabilizes, the latest assignment is
-    returned with converged=False.
-
-    Ties: a class joins the lowest-indexed of its most similar medoids,
-    and a cluster's new medoid is the lowest-indexed of the members with
-    the largest within-cluster similarity sum (the diagonal excluded).
-
-    Sum order: the result equals summing each cluster's rows in member
-    order, `sim[members][:, members].sum(axis=1)`, bit for bit. The
-    within-cluster sums come from one matrix product, whose order differs,
-    so the update keeps the reference answer three ways: when every
-    off-diagonal entry is a multiple of 2**-p and their absolute total
-    is below 2**(53 - p), every order is exact; a cluster of at most 3
-    members has order-free sums; and any other cluster whose two best
-    candidates are within the summation error bound is summed again in
-    the reference order. Off-diagonal entries must be finite.
-
-    Lockstep: cluster_labels runs every k of one call together. It checks
-    the matrix once, and seeds every k from one raw draw of a fresh
-    `default_rng(seed)`, which gives each k the medoids its own `choice`
-    would (see _initial_medoids). Each k's medoid row is padded to the
-    largest k with a sentinel column of -inf similarity, which no argmax
-    picks and which sorts after every class. One matrix product
-    updates the medoids of every k, and the three rules above apply to
-    each cluster on its own. A k at its fixed point leaves the pass, as
-    its own loop would have stopped there, so each k's labels, medoids
-    and converged flag equal this function's for that k alone.
-    """
-    labels, medoids, converged = cluster_labels(sim, [k], seed, max_iter)
-    return ClusterSet(labels[0], tuple(medoids[0].tolist()), k, ledger_version,
-                      bool(converged[0]))
 
 
 def select_targets(

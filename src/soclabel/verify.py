@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import labels as lb
-from .clustering import _assign, kmedoids
+from .clustering import _assign, cluster_labels
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy, cross_entropy_grad
 from .transitions import PredictionBank, TransitionLedger, rebuild_running_sum
@@ -206,13 +206,13 @@ def suite_cluster(trials: int = 500, seed: int = 0) -> SuiteResult:
         n = int(rng.integers(4, 33))
         k = int(rng.integers(2, n + 1))
         sim = _random_similarity(rng, n)
-        cs = kmedoids(sim, k, seed=int(rng.integers(0, 2**31)))
-        partition = sorted(c for s in cs.clusters for c in s) == list(range(n))
-        assignment = _assign(sim, list(cs.medoids))
-        fixed_point = all(
-            assignment[c] == j for j, members in enumerate(cs.clusters) for c in members
-        )
-        res.record(partition and (fixed_point or not cs.converged), (n, k))
+        labels, medoids, converged = cluster_labels(sim, [k], seed=int(rng.integers(0, 2**31)))
+        labels, medoids = labels[0], medoids[0]
+        # k clusters, each holding its own medoid.
+        partition = ((labels >= 0) & (labels < k)).all() and (
+            labels[medoids] == np.arange(k)).all()
+        fixed_point = np.array_equal(_assign(sim, medoids), labels)
+        res.record(bool(partition and (fixed_point or not converged[0])), (n, k))
 
     # Planted two-block structure: high similarity inside {0..3} and {4..7}.
     blocks = ({0, 1, 2, 3}, {4, 5, 6, 7})
@@ -228,17 +228,16 @@ def suite_cluster(trials: int = 500, seed: int = 0) -> SuiteResult:
                and not any(pair[0] in b and pair[1] in b for b in blocks),
                "brute-force medoids straddle the blocks")
     for s in range(20):
-        cs = kmedoids(sim, 2, seed=s)
-        recovered = set(frozenset(c) for c in cs.clusters) == set(
-            frozenset(b) for b in blocks
-        )
+        labels = cluster_labels(sim, [2], seed=s)[0][0]
+        found = {frozenset(np.flatnonzero(labels == j).tolist()) for j in range(2)}
+        recovered = found == set(map(frozenset, blocks))
         res.record(recovered, f"seed {s}")
 
     # Determinism under a fixed seed.
     sim = _random_similarity(np.random.default_rng(seed + 1), 16)
-    a = kmedoids(sim, 4, seed=123)
-    b = kmedoids(sim, 4, seed=123)
-    res.record(a == b, "determinism")
+    a = cluster_labels(sim, [4], seed=123)
+    b = cluster_labels(sim, [4], seed=123)
+    res.record(all(np.array_equal(x, y) for x, y in zip(a, b)), "determinism")
     return res
 
 

@@ -21,5 +21,9 @@ def test_every_traced_name_resolves():
         name for name, module, attr in tracer.TARGETS
         if tracer._resolve(module, attr) is None
     }
-    # Both were deleted with the per-sample selection path.
-    assert absent == {"clustering.pick_candidates", "labels.select_label"}
+    # pick_candidates and select_label were deleted with the per-sample
+    # selection path; kmedoids with the single-k wrapper, whose metrics
+    # already read 0 because training and select call cluster_labels.
+    assert absent == {
+        "clustering.kmedoids", "clustering.pick_candidates", "labels.select_label"
+    }

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soclabel import cli
 from soclabel import labels as lb
 from soclabel.cli import (
     EXIT_DATA,
@@ -60,6 +61,12 @@ class TestSelect:
         for flags in (["--policy", "fixed"], ["--alpha", "1.0"]):
             assert main(["select", TOY_LOG, *flags]) == EXIT_USAGE
             assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_positive_window_exits_usage_before_reading(self, capsys):
+        # The log does not exist: the window is checked first.
+        for nb in ("0", "-1"):
+            assert main(["select", "missing.ndjson", "--nb", nb]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"config error: --nb must be positive, got {nb}\n"
 
     def test_replay_twice_identical(self, tmp_path):
         _, first = run_select(tmp_path)
@@ -419,6 +426,15 @@ class TestCluster:
             partitions.append({frozenset(c) for c in dump["clusters"]})
         assert partitions[0] == partitions[1] == {frozenset({0, 1}), frozenset({2, 3})}
 
+    def test_k_above_n_exits_usage(self, capsys):
+        assert main(["cluster", TOY_LOG, "--k", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: k=5 outside [2, 4]\n"
+
+    def test_non_positive_window_exits_usage_before_reading(self, capsys):
+        for nb in ("0", "-1"):
+            assert main(["cluster", "missing.ndjson", "--nb", nb]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"config error: --nb must be positive, got {nb}\n"
+
 
 class TestSim:
     def small_args(self, tmp_path, *extra):
@@ -491,6 +507,14 @@ class TestSim:
         config.write_text("{")
         assert main(["sim", "--config", str(config)]) == EXIT_USAGE
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b"\xff\xfe{}")
+        assert main(["sim", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not UTF-8")
+        assert err.count("\n") == 1
+
 
 class TestEntropySweep:
     def test_bad_input_exits_usage(self, tmp_path):
@@ -500,6 +524,15 @@ class TestEntropySweep:
         with pytest.raises(SystemExit) as exc:
             main(["entropy-sweep", "--ks", "2,x"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_k_out_of_range_exits_before_training(self, monkeypatch, capsys):
+        def no_training(*args):
+            raise AssertionError("trained before checking --ks")
+
+        monkeypatch.setattr(cli, "run", no_training)
+        for ks, bad in (("2,50", 50), ("1", 1)):
+            assert main(["entropy-sweep", "--ks", ks]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: k={bad} outside [2, 32]\n"
 
 
 class TestVerify:

@@ -1,19 +1,11 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soclabel.clustering import (
-    ClusterSet,
-    _assign,
-    _initial_medoids,
-    cluster_labels,
-    kmedoids,
-    select_targets,
-)
+from soclabel.clustering import _assign, _initial_medoids, cluster_labels, select_targets
 from soclabel.errors import InvalidK
 from soclabel.transitions import MAX_SIM, PredictionBank, SimilarityMatrix, TransitionLedger
 
@@ -27,28 +19,35 @@ def sim_with_blocks(blocks, n, strong=5.0, weak=0.1):
     return sim
 
 
+def clusters_of(row, k):
+    """The k clusters of one cluster_labels row, as frozensets."""
+    return tuple(frozenset(np.flatnonzero(row == j).tolist()) for j in range(k))
+
+
 class TestKmedoids:
+    """One-k partitions from cluster_labels."""
+
     def test_two_block_recovery_every_seed(self):
         blocks = ({0, 1}, {2, 3})
         sim = sim_with_blocks(blocks, 4)
         for seed in range(10):
-            cs = kmedoids(sim, 2, seed=seed)
-            assert {frozenset(c) for c in cs.clusters} == {frozenset(b) for b in blocks}
-            assert cs.converged
+            labels, _, converged = cluster_labels(sim, [2], seed=seed)
+            assert set(clusters_of(labels[0], 2)) == {frozenset(b) for b in blocks}
+            assert converged[0]
 
     def test_k_equals_n_gives_singletons(self):
         sim = sim_with_blocks(({0, 1, 2}, {3, 4}), 5)
-        cs = kmedoids(sim, 5, seed=0)
-        assert sorted(cs.medoids) == list(range(5))
-        assert all(len(c) == 1 for c in cs.clusters)
+        labels, medoids, _ = cluster_labels(sim, [5], seed=0)
+        assert medoids[0].tolist() == list(range(5))
+        assert sorted(labels[0].tolist()) == list(range(5))
 
     def test_zero_similarity_tie_break(self):
         sim = np.zeros((5, 5))
         np.fill_diagonal(sim, MAX_SIM)
-        cs = kmedoids(sim, 2, seed=42)
+        labels, medoids, _ = cluster_labels(sim, [2], seed=42)
         # All non-medoid classes fall to the lowest-indexed medoid.
-        low, high = cs.medoids
-        by_medoid = dict(zip(cs.medoids, cs.clusters))
+        low, high = medoids[0].tolist()
+        by_medoid = dict(zip((low, high), clusters_of(labels[0], 2)))
         assert by_medoid[high] == frozenset({high})
         assert by_medoid[low] == frozenset(range(5)) - {high}
 
@@ -56,14 +55,15 @@ class TestKmedoids:
         sim = np.zeros((4, 4))
         for bad in (1, 5, 0):
             with pytest.raises(InvalidK):
-                kmedoids(sim, bad, seed=0)
+                cluster_labels(sim, [bad], seed=0)
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
         raw = rng.random((12, 12))
         sim = (raw + raw.T) / 2
         np.fill_diagonal(sim, MAX_SIM)
-        assert kmedoids(sim, 3, seed=9) == kmedoids(sim, 3, seed=9)
+        first, second = cluster_labels(sim, [3], seed=9), cluster_labels(sim, [3], seed=9)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_partition_and_fixed_point(self):
         rng = np.random.default_rng(1)
@@ -73,12 +73,9 @@ class TestKmedoids:
             raw = rng.random((n, n))
             sim = (raw + raw.T) / 2
             np.fill_diagonal(sim, MAX_SIM)
-            cs = kmedoids(sim, k, seed=int(rng.integers(1000)))
-            covered = sorted(c for s in cs.clusters for c in s)
-            assert covered == list(range(n))
-            assignment = _assign(sim, list(cs.medoids))
-            for j, members in enumerate(cs.clusters):
-                assert all(assignment[c] == j for c in members)
+            labels, medoids, _ = cluster_labels(sim, [k], seed=int(rng.integers(1000)))
+            assert ((labels[0] >= 0) & (labels[0] < k)).all()
+            assert np.array_equal(_assign(sim, medoids[0]), labels[0])
 
     def test_local_optimality_small_instances(self):
         # At convergence, within each cluster no member beats its medoid on
@@ -93,33 +90,18 @@ class TestKmedoids:
             sim_zero = sim.copy()
             np.fill_diagonal(sim_zero, 0.0)
 
-            cs = kmedoids(sim, k, seed=int(rng.integers(1000)))
-            if not cs.converged:
+            labels, medoids, converged = cluster_labels(sim, [k], seed=int(rng.integers(1000)))
+            if not converged[0]:
                 continue
-            for medoid, cluster in zip(cs.medoids, cs.clusters):
+            for medoid, cluster in zip(medoids[0].tolist(), clusters_of(labels[0], k)):
                 members = sorted(cluster)
                 medoid_score = sim_zero[medoid, members].sum()
                 for repl in members:
                     assert sim_zero[repl, members].sum() <= medoid_score + 1e-9
 
 
-class TestClusterSet:
-    def test_clusters_derived_from_labels(self):
-        cs = ClusterSet([1, 0, 1, 0, 1], (1, 4), 2, ledger_version=3)
-        assert cs.clusters == (frozenset({1, 3}), frozenset({0, 2, 4}))
-        assert json.loads(cs.to_json())["clusters"] == [[1, 3], [0, 2, 4]]
-        assert cs == ClusterSet(np.array([1, 0, 1, 0, 1]), (1, 4), 2, 3)
-        assert cs != ClusterSet([1, 0, 1, 1, 1], (1, 4), 2, 3)
-
-    def test_invalid_partition_rejected(self):
-        for labels, medoids in (([0, 2, 1], (0, 2)), ([0, 1, 1], (0, 1, 2)),
-                                ([0, 1, 1], (1, 2))):
-            with pytest.raises(ValueError):
-                ClusterSet(labels, medoids, 2, 0)
-
-
 def reference_kmedoids(sim, k, seed, max_iter=100):
-    """The per-cluster loop kmedoids replaced: each cluster's sums in
+    """The per-cluster loop cluster_labels replaced: each cluster's sums in
     member order through np.ix_. Returns (medoids, clusters, converged)."""
     sim = np.asarray(sim, dtype=float)
     n = sim.shape[0]
@@ -178,16 +160,9 @@ def tie_heavy_similarity(rng, kind, K):
     return symmetric(rng.integers(-2, 3, size=(K, K)) / 3.0)
 
 
-def assert_matches_reference(sim, k, seed, max_iter):
-    cs = kmedoids(sim, k, seed=seed, max_iter=max_iter)
-    assert (cs.medoids, cs.clusters, cs.converged) == reference_kmedoids(
-        sim, k, seed, max_iter
-    )
-
-
 class TestKmedoidsOracle:
-    """The array update equals the per-cluster loop bit for bit, on partial
-    and full ledger windows and on tie-heavy matrices."""
+    """A lone k equals the per-cluster loop bit for bit, on partial and
+    full ledger windows and on tie-heavy matrices."""
 
     @given(
         K=st.sampled_from([4, 32, 200]),
@@ -204,7 +179,7 @@ class TestKmedoidsOracle:
         n_batches = window if full else int(rng.integers(1, window))
         sim = ledger_similarity(rng, K, window, n_batches)
         k = 2 + int(k_frac * (K - 2))
-        assert_matches_reference(sim, k, seed, max_iter)
+        TestClusterLabels.assert_rows_match_reference(sim, [k], seed, max_iter)
 
     @given(
         K=st.sampled_from([4, 32, 200]),
@@ -222,13 +197,13 @@ class TestKmedoidsOracle:
     def test_tie_heavy(self, K, kind, data_seed, k_frac, seed, max_iter):
         sim = tie_heavy_similarity(np.random.default_rng(data_seed), kind, K)
         k = 2 + int(k_frac * (K - 2))
-        assert_matches_reference(sim, k, seed, max_iter)
+        TestClusterLabels.assert_rows_match_reference(sim, [k], seed, max_iter)
 
     def test_non_finite_off_diagonal_rejected(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
         sim[0, 1] = np.nan
         with pytest.raises(ValueError):
-            kmedoids(sim, 2, seed=0)
+            cluster_labels(sim, [2], seed=0)
 
 
 class TestClusterLabels:
@@ -242,12 +217,11 @@ class TestClusterLabels:
             ref_medoids, ref_clusters, ref_converged = reference_kmedoids(
                 sim, k, seed, max_iter
             )
-            clusters = tuple(
-                frozenset(np.flatnonzero(labels[r] == j).tolist()) for j in range(k)
-            )
             assert tuple(medoids[r, :k].tolist()) == ref_medoids
             assert set(medoids[r, k:].tolist()) <= {ref_medoids[-1]}
-            assert clusters == ref_clusters
+            # Each medoid lies in its own cluster.
+            assert (labels[r, medoids[r, :k]] == np.arange(k)).all()
+            assert clusters_of(labels[r], k) == ref_clusters
             assert bool(converged[r]) == ref_converged
 
     @staticmethod
@@ -392,13 +366,6 @@ class TestPickCandidates:
         assert mask[np.arange(40), queries].all()
         assert np.allclose(targets.sum(axis=1), 1.0)
         for k in (2, 3, 5, 10):
-            # The rows that share k cover exactly the clusters of kmedoids.
+            # The rows that share k cover exactly the clusters of k alone.
             blocks = {frozenset(np.flatnonzero(row).tolist()) for row in mask[ks == k]}
-            assert blocks == set(kmedoids(sim, k, seed=1).clusters)
-
-    def test_json_dump(self):
-        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
-        dump = json.loads(kmedoids(sim, 2, seed=0, ledger_version=17).to_json())
-        assert dump["k"] == 2
-        assert dump["ledger_version"] == 17
-        assert sorted(c for cl in dump["clusters"] for c in cl) == [0, 1, 2, 3]
+            assert blocks == set(clusters_of(cluster_labels(sim, [k], seed=1)[0][0], k))
