@@ -173,12 +173,17 @@ class TestDirectional:
         fixmatch = float(np.mean(scores["fixmatch"]))
         soft = float(np.mean(scores["soft"]))
         ok = soc >= fixmatch + 0.02 and soc >= soft and elapsed < 600.0
+        paired = {
+            arm: ", ".join(f"{a - b:+.4f}" for a, b in zip(scores["soc"], scores[arm]))
+            for arm in ("soft", "fixmatch")
+        }
         report(
             capsys,
             "directional comparison",
             ok,
             f"soc={soc:.4f} fixmatch={fixmatch:.4f} soft={soft:.4f} "
-            f"(5 seeds, {elapsed:.0f}s)",
+            f"(5 seeds, {elapsed:.0f}s); per seed soc-soft {paired['soft']}, "
+            f"soc-fixmatch {paired['fixmatch']}",
         )
 
     def test_entropy_vs_k_sweep(self, capsys, paired_runs):
