@@ -175,21 +175,23 @@ def _policy_from_args(args, n_classes: int) -> KPolicy:
 
 
 def _default_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SOC_SEED", "0"))
+    """--seed, else SOC_SEED, else 0; a config error unless a non-negative integer."""
+    env = os.environ.get("SOC_SEED", "0")
+    name, text = ("SOC_SEED", env) if args.seed is None else ("--seed", str(args.seed))
+    if not text.isdecimal():
+        raise ConfigError(f"{name} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def cmd_select(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
+    seed = _default_seed(args)
     records, final_ids, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
     ks = select_k(policy, probs.max(axis=1)).tolist()
-    targets, mask = select_targets(
-        probs, ledger.similarity_matrix(), ks, seed=_default_seed(args)
-    )
+    targets, mask = select_targets(probs, ledger.similarity_matrix(), ks, seed=seed)
     before = lb.entropy(probs).tolist()
     after = lb.entropy(targets).tolist()
     sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
@@ -209,6 +211,7 @@ def cmd_select(args) -> int:
 def cmd_cluster(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
+    seed = _default_seed(args)
     records, _, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     sim = ledger.similarity_matrix()
@@ -217,7 +220,7 @@ def cmd_cluster(args) -> int:
     else:
         policy = _policy_from_args(args, n_classes)
         k = int(select_k(policy, probs.max(axis=1).mean()))
-    labels, medoids, converged = cluster_labels(sim.values, [k], seed=_default_seed(args))
+    labels, medoids, converged = cluster_labels(sim.values, [k], seed=seed)
     print(json.dumps({
         "k": k,
         "medoids": medoids[0].tolist(),
@@ -297,8 +300,11 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError(f"--trials must be positive, got {args.trials}")
+    seed = _default_seed(args)
     try:
-        results = run_suite(args.suite, trials=args.trials, seed=_default_seed(args))
+        results = run_suite(args.suite, trials=args.trials, seed=seed)
     except KeyError:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -311,6 +317,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy_sweep(args) -> int:
+    seed = _default_seed(args)
     config, spec = config_from_dict(_load_config(args.config))
     # Checked here, not by the sweep after the run: training takes seconds.
     for k in args.ks:
@@ -318,8 +325,7 @@ def cmd_entropy_sweep(args) -> int:
             raise InvalidK(f"k={k} outside [2, {spec.n_classes}]")
     dataset = generate_dataset(spec)
     state = run(config, dataset)
-    means = entropy_vs_k(state.model, dataset, state.ledger, args.ks,
-                         seed=_default_seed(args))
+    means = entropy_vs_k(state.model, dataset, state.ledger, args.ks, seed=seed)
     for k, m in zip(args.ks, means):
         print(f"k={k} mean_entropy_sel={m}")
     return EXIT_OK

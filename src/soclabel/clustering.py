@@ -9,8 +9,6 @@ lowest class index so results are reproducible.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import InvalidK
@@ -28,46 +26,8 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
 
 
-def _reference_medoid(sim_zero_diag: np.ndarray, members: np.ndarray) -> int:
-    """The member with the largest within-cluster sum, summed in the
-    reference order."""
-    sums = sim_zero_diag[np.ix_(members, members)].sum(axis=1)
-    return int(members[np.argmax(sums)])
-
-
-def _sum_tolerance(sim_zero_diag: np.ndarray) -> float:
-    """0.0 when every order of summing any subset of a row gives the same
-    bits; otherwise a gap above which two candidates' sums rank the same
-    in every order."""
-    absolute = np.abs(sim_zero_diag)
-    total = float(absolute.sum())
-    if total == 0.0:
-        return 0.0
-    if math.isfinite(total):
-        # total < 2**e. When every entry is a multiple of 2**(e-53), so is
-        # every partial sum, and below 2**e it is exact in any order. The
-        # computed total cannot fall below 2**e if the exact one is not.
-        _, e = math.frexp(total)
-        scaled = np.ldexp(sim_zero_diag, 53 - e)
-        if np.array_equal(scaled, np.rint(scaled)):
-            return 0.0
-    # Any order of summing n terms is within gamma_n * sum|x| of the exact
-    # sum (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).
-    # Two orders and two candidates give 4 * gamma_n; the factor 8 leaves
-    # room for rounding in this bound itself.
-    n = sim_zero_diag.shape[0]
-    u = 2.0**-53  # unit roundoff of float64
-    gamma = n * u / (1 - n * u)
-    return 8 * gamma * float(absolute.sum(axis=1).max())
-
-
 def _update_medoids(
-    sim_zero_diag: np.ndarray,
-    assignment: np.ndarray,
-    clusters: np.ndarray,
-    real: np.ndarray,
-    tol: float,
-    check_empty: bool,
+    sim_zero_diag: np.ndarray, assignment: np.ndarray, clusters: np.ndarray, real: np.ndarray
 ) -> np.ndarray:
     """Every cluster's member with the largest within-cluster similarity
     sum, ties to the lowest index, for every partition at once.
@@ -75,30 +35,18 @@ def _update_medoids(
     assignment[c, r] is class c's cluster in partition r. clusters is
     arange(width) for width = max(ks), and real[r, j] is j < ks[r].
     Returns one row per partition: its ks[r] medoids sorted, then the
-    sentinel K in the columns past ks[r]. check_empty=False skips the
-    check that every real cluster has a member.
+    sentinel K in the columns past ks[r].
     """
     n, n_rows = assignment.shape
     width = clusters.size
     # Column r * width + j is cluster j of partition r; columns j >= ks[r]
     # are empty.
     member = (assignment[:, :, None] == clusters).reshape(n, n_rows * width)
-    if check_empty and not member.any(axis=0)[real.ravel()].all():
-        raise ValueError("empty cluster: the diagonal must dominate its row")
     # within[c, col] is class c's similarity sum over cluster col if c is
     # in it, else -inf. argmax takes a column's first maximum: the lowest
     # index.
     within = np.where(member, sim_zero_diag @ member, -np.inf)
     best = within.argmax(axis=0)
-    if tol > 0.0:
-        # A cluster of at most 3 members sums at most two nonzero terms,
-        # which is order-free. A larger one whose two best candidates are
-        # within tol of each other (or whose gap is NaN after an overflow)
-        # is summed again in the reference order.
-        large = np.flatnonzero(member.sum(axis=0) > 3)
-        runner_up, top = np.partition(within[:, large], -2, axis=0)[-2:]
-        for col in large[~(top - runner_up > tol)].tolist():
-            best[col] = _reference_medoid(sim_zero_diag, np.flatnonzero(member[:, col]))
     # The sentinel n sorts after every class.
     return np.sort(np.where(real, best.reshape(n_rows, width), n), axis=1)
 
@@ -169,15 +117,10 @@ def cluster_labels(
     and a cluster's new medoid is the lowest-indexed of the members with
     the largest within-cluster similarity sum (the diagonal excluded).
 
-    Sum order: each row equals summing each cluster's rows in member
-    order, `sim[members][:, members].sum(axis=1)`, bit for bit. The
-    within-cluster sums come from one matrix product, whose order differs,
-    so the update keeps the reference answer three ways: when every
-    off-diagonal entry is a multiple of 2**-p and their absolute total
-    is below 2**(53 - p), every order is exact; a cluster of at most 3
-    members has order-free sums; and any other cluster whose two best
-    candidates are within the summation error bound is summed again in
-    the reference order. Off-diagonal entries must be finite.
+    Exact sums: the diagonal must be +inf (MAX_SIM) and every off-diagonal
+    entry an integer, with an absolute total below 2**53; otherwise
+    ValueError. Then every within-cluster sum is an exact integer in any
+    order, and each medoid stays in its own cluster, so no cluster empties.
 
     Lockstep: every k runs in the same pass. The matrix is checked once,
     and every k is seeded from one raw draw of a fresh `default_rng(seed)`,
@@ -185,7 +128,7 @@ def cluster_labels(
     _initial_medoids). Each k's medoid row is padded to the largest k with
     a sentinel column of -inf similarity, which no argmax picks and which
     sorts after every class. One matrix product updates the medoids of
-    every k, and the three rules above apply to each cluster on its own.
+    every k, and the rules above apply to each cluster on its own.
     A k at its fixed point leaves the pass, as a pass over that k alone
     would have stopped there, so row r is the same whichever other ks
     share the call.
@@ -205,19 +148,21 @@ def cluster_labels(
     # the same sentinel amount to every candidate.
     sim_zero_diag = sim.copy()
     np.fill_diagonal(sim_zero_diag, 0.0)
-    if not np.isfinite(sim_zero_diag).all():
-        raise ValueError("off-diagonal similarities must be finite")
-    tol = _sum_tolerance(sim_zero_diag)
+    with np.errstate(over="ignore"):  # NaN fails the integer test; inf, the bound
+        exact = (
+            (sim.diagonal() == np.inf).all()
+            and (np.rint(sim_zero_diag) == sim_zero_diag).all()
+            and np.abs(sim_zero_diag).sum() < 2.0**53
+        )
+    if not exact:
+        raise ValueError("similarity needs a +inf diagonal and integer off-diagonal "
+                         "entries whose absolute total is below 2**53")
     # Column n is a -inf sentinel. Medoid rows are padded with it, so a
     # row never needs re-padding, and no argmax picks it: each class has
     # a finite similarity to some medoid other than itself.
     padded = np.empty((n, n + 1))
     padded[:, :n] = sim
     padded[:, n] = -np.inf
-    # With a +inf (MAX_SIM) diagonal each medoid joins its own cluster, and
-    # with exact sums (tol == 0) each cluster's best is one of its members.
-    # Then medoids stay distinct and no cluster can empty.
-    check_empty = not (tol == 0.0 and (sim.diagonal() == np.inf).all())
 
     medoids = _initial_medoids(n, ks, seed)
     kmax = medoids.shape[1]
@@ -232,9 +177,7 @@ def cluster_labels(
     real = clusters < ks[:, None]
     assignment = _assign(padded, medoids)
     for _ in range(max_iter):
-        new = _update_medoids(
-            sim_zero_diag, assignment, clusters[:width], real, tol, check_empty
-        )
+        new = _update_medoids(sim_zero_diag, assignment, clusters[:width], real)
         fixed = (new == medoids).all(axis=1)
         if fixed.any():
             done = active[fixed]

@@ -53,6 +53,8 @@ class SyntheticDatasetSpec:
                   self.test_per_class)
         if min(counts) < 1:
             raise ValueError("dim and the per-class sample counts must be positive")
+        if type(self.seed) is not int or self.seed < 0:  # a bool is an int to Python
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_classes(self) -> int:
@@ -159,6 +161,8 @@ class SimConfig:
                 "batch_size, mu, iters, window, eval_every, eval_subset and "
                 "cluster_max_iter must be positive"
             )
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass

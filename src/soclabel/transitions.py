@@ -2,8 +2,8 @@
 
 A transition is recorded whenever the model's argmax prediction for a
 sample changes between consecutive observations. Per-batch events are kept
-as (from, to) rows of an integer array; the windowed sum is maintained
-densely so similarity queries stay O(1).
+as (from, to) rows of an integer array; the window's counts C are summed
+densely, and the similarity C + C^T is integer-valued, so its sums are exact.
 """
 
 from __future__ import annotations
@@ -113,12 +113,8 @@ class TransitionLedger:
         np.add.at(self.running_sum, (batch.pairs[:, 0], batch.pairs[:, 1]), delta)
 
     def similarity_matrix(self) -> "SimilarityMatrix":
-        """Dense symmetric pairwise similarity with MAX_SIM diagonal."""
-        if self.window:
-            avg = self.running_sum / len(self.window)
-            values = (avg + avg.T) / 2.0
-        else:
-            values = np.zeros((self.n_classes, self.n_classes))
+        """The window's symmetrized counts C + C^T, with a MAX_SIM diagonal."""
+        values = (self.running_sum + self.running_sum.T).astype(float)
         np.fill_diagonal(values, MAX_SIM)
         return SimilarityMatrix(values, self.version)
 
@@ -175,7 +171,7 @@ class TransitionLedger:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Similarity snapshot tagged with the ledger version it came from."""
+    """A ledger's C + C^T as floats, MAX_SIM on the diagonal, and its version."""
 
     values: np.ndarray
     ledger_version: int

@@ -171,8 +171,8 @@ def suite_ctt(trials: int = 100, seed: int = 0) -> SuiteResult:
 
 
 def _random_similarity(rng: np.random.Generator, n: int) -> np.ndarray:
-    raw = rng.random((n, n)) * rng.choice([1.0, 10.0])
-    sim = (raw + raw.T) / 2
+    raw = rng.integers(0, rng.choice([4, 1000]), size=(n, n))  # small counts tie often
+    sim = (raw + raw.T).astype(float)
     np.fill_diagonal(sim, np.inf)
     return sim
 
@@ -216,12 +216,12 @@ def suite_cluster(trials: int = 500, seed: int = 0) -> SuiteResult:
 
     # Planted two-block structure: high similarity inside {0..3} and {4..7}.
     blocks = ({0, 1, 2, 3}, {4, 5, 6, 7})
-    sim = np.full((8, 8), 0.1)
+    sim = np.full((8, 8), 10.0)
     for block in blocks:
         for a in block:
             for b in block:
                 if a != b:
-                    sim[a, b] = 5.0 + 0.01 * (a + b)
+                    sim[a, b] = 500 + a + b
     np.fill_diagonal(sim, np.inf)
     pair, _ = brute_force_two_medoids(sim)
     res.record(sum(pair[0] in b for b in blocks) + sum(pair[1] in b for b in blocks) == 2

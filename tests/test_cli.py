@@ -516,6 +516,10 @@ class TestSim:
         assert err.count("\n") == 1
 
 
+def no_training(*args):
+    raise AssertionError("trained before checking the arguments")
+
+
 class TestEntropySweep:
     def test_bad_input_exits_usage(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -526,9 +530,6 @@ class TestEntropySweep:
         assert exc.value.code == EXIT_USAGE
 
     def test_k_out_of_range_exits_before_training(self, monkeypatch, capsys):
-        def no_training(*args):
-            raise AssertionError("trained before checking --ks")
-
         monkeypatch.setattr(cli, "run", no_training)
         for ks, bad in (("2,50", 50), ("1", 1)):
             assert main(["entropy-sweep", "--ks", ks]) == EXIT_USAGE
@@ -542,3 +543,54 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nonsense"]) == EXIT_USAGE
+
+    def test_trials_below_one_exits_usage(self, capsys):
+        for suite, trials in (("lemma1", "-3"), ("cluster", "0")):
+            assert main(["verify", suite, "--trials", trials]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: --trials must be positive, got {trials}\n"
+
+
+class TestBadSeed:
+    """A negative or malformed seed exits 2 with one error line, before any
+    training or log reading."""
+
+    ENTRY_POINTS = {
+        "select": ["select", "missing.ndjson"],
+        "cluster": ["cluster", "missing.ndjson"],
+        "verify": ["verify", "lemma1"],
+        "entropy-sweep": ["entropy-sweep"],
+        "sim": ["sim", "--out", "unwritten.csv"],
+    }
+
+    def assert_usage_error(self, argv, capsys, expected):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
+    @pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
+    def test_negative_flag(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        # sim passes the flag on to its config's sim.seed.
+        expected = "seed must be a non-negative integer, got -1" if command == "sim" else (
+            "--seed must be a non-negative integer, got '-1'")
+        self.assert_usage_error([*self.ENTRY_POINTS[command], "--seed", "-1"], capsys, expected)
+
+    @pytest.mark.parametrize("command", ["select", "cluster", "verify", "entropy-sweep"])
+    def test_bad_soc_seed_env(self, command, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        for value in ("-2", "abc", "1.5", ""):
+            monkeypatch.setenv("SOC_SEED", value)
+            self.assert_usage_error(self.ENTRY_POINTS[command], capsys,
+                                    f"SOC_SEED must be a non-negative integer, got {value!r}")
+
+    @pytest.mark.parametrize("command", ["sim", "entropy-sweep"])
+    def test_bad_config_seed(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        config = tmp_path / "seed.json"
+        for section, seed in (("sim", -1), ("sim", 1.5), ("sim", "0"), ("sim", True),
+                              ("dataset", -1)):
+            config.write_text(json.dumps({section: {"seed": seed}}))
+            prefix = "dataset: " if section == "dataset" else ""
+            self.assert_usage_error([command, "--config", str(config)], capsys,
+                                    f"{prefix}seed must be a non-negative integer, got {seed!r}")

@@ -10,11 +10,18 @@ from soclabel.errors import InvalidK
 from soclabel.transitions import MAX_SIM, PredictionBank, SimilarityMatrix, TransitionLedger
 
 
-def sim_with_blocks(blocks, n, strong=5.0, weak=0.1):
-    sim = np.full((n, n), weak)
+def sim_with_blocks(blocks, n, strong=5, weak=1):
+    sim = np.full((n, n), weak, dtype=float)
     for block in blocks:
         for a, b in itertools.permutations(block, 2):
             sim[a, b] = strong
+    np.fill_diagonal(sim, MAX_SIM)
+    return sim
+
+
+def symmetric(raw):
+    """raw + raw.T with a MAX_SIM diagonal, as a ledger builds C + C^T."""
+    sim = (raw + raw.T).astype(float)
     np.fill_diagonal(sim, MAX_SIM)
     return sim
 
@@ -52,16 +59,14 @@ class TestKmedoids:
         assert by_medoid[low] == frozenset(range(5)) - {high}
 
     def test_invalid_k(self):
-        sim = np.zeros((4, 4))
+        sim = sim_with_blocks((), 4)
         for bad in (1, 5, 0):
             with pytest.raises(InvalidK):
                 cluster_labels(sim, [bad], seed=0)
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
-        raw = rng.random((12, 12))
-        sim = (raw + raw.T) / 2
-        np.fill_diagonal(sim, MAX_SIM)
+        sim = symmetric(rng.integers(0, 10, size=(12, 12)))
         first, second = cluster_labels(sim, [3], seed=9), cluster_labels(sim, [3], seed=9)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
@@ -70,9 +75,7 @@ class TestKmedoids:
         for _ in range(25):
             n = int(rng.integers(4, 20))
             k = int(rng.integers(2, n + 1))
-            raw = rng.random((n, n))
-            sim = (raw + raw.T) / 2
-            np.fill_diagonal(sim, MAX_SIM)
+            sim = symmetric(rng.integers(0, 10, size=(n, n)))
             labels, medoids, _ = cluster_labels(sim, [k], seed=int(rng.integers(1000)))
             assert ((labels[0] >= 0) & (labels[0] < k)).all()
             assert np.array_equal(_assign(sim, medoids[0]), labels[0])
@@ -84,9 +87,7 @@ class TestKmedoids:
         for _ in range(10):
             n = int(rng.integers(5, 9))
             k = int(rng.integers(2, 4))
-            raw = rng.random((n, n))
-            sim = (raw + raw.T) / 2
-            np.fill_diagonal(sim, MAX_SIM)
+            sim = symmetric(rng.integers(0, 10, size=(n, n)))
             sim_zero = sim.copy()
             np.fill_diagonal(sim_zero, 0.0)
 
@@ -97,7 +98,7 @@ class TestKmedoids:
                 members = sorted(cluster)
                 medoid_score = sim_zero[medoid, members].sum()
                 for repl in members:
-                    assert sim_zero[repl, members].sum() <= medoid_score + 1e-9
+                    assert sim_zero[repl, members].sum() <= medoid_score
 
 
 def reference_kmedoids(sim, k, seed, max_iter=100):
@@ -140,24 +141,17 @@ def ledger_similarity(rng, K, window, n_batches):
     return ledger.similarity_matrix().values
 
 
-def symmetric(raw):
-    sim = (raw + raw.T) / 2
-    np.fill_diagonal(sim, MAX_SIM)
-    return sim
-
-
 def tie_heavy_similarity(rng, kind, K):
-    if kind == "dyadic":
-        # Quarters: every sum is exact, and many of them tie.
-        return symmetric(rng.integers(0, 3, size=(K, K)) / 4.0)
+    if kind == "small":
+        # Entries in [0, 4]: many sums tie.
+        return symmetric(rng.integers(0, 3, size=(K, K)))
     if kind == "duplicated":
-        # Equal rows with inexact entries: exact ties that rounding in a
-        # different sum order would break.
-        base = rng.random((K, K)) / 3
+        # Copies of one class have equal rows, so their sums tie exactly.
+        base = rng.integers(0, 1000, size=(K, K))
         copies = rng.integers(0, max(2, K // 3), size=K)
         return symmetric(base[np.ix_(copies, copies)])
-    # Negative entries in thirds.
-    return symmetric(rng.integers(-2, 3, size=(K, K)) / 3.0)
+    # Negative entries.
+    return symmetric(rng.integers(-2, 3, size=(K, K)))
 
 
 class TestKmedoidsOracle:
@@ -183,27 +177,21 @@ class TestKmedoidsOracle:
 
     @given(
         K=st.sampled_from([4, 32, 200]),
-        kind=st.sampled_from(["dyadic", "duplicated", "negative"]),
+        kind=st.sampled_from(["small", "duplicated", "negative"]),
         data_seed=st.integers(0, 2**32 - 1),
         k_frac=st.floats(0, 1),
         seed=st.integers(0, 2**31 - 1),
         max_iter=st.sampled_from([1, 100]),
     )
-    # Clusters of 4 and more members whose best sums tie exactly and round
-    # apart in another order.
-    @example(K=32, kind="duplicated", data_seed=6, k_frac=0.3, seed=0, max_iter=100)
-    @example(K=32, kind="duplicated", data_seed=123, k_frac=0.3, seed=0, max_iter=1)
+    # Clusters of 4 and more members whose best sums tie exactly: 12 of them
+    # over 3 passes (data_seed=7), and 3 in one pass (data_seed=0).
+    @example(K=32, kind="duplicated", data_seed=7, k_frac=0.3, seed=0, max_iter=100)
+    @example(K=32, kind="duplicated", data_seed=0, k_frac=0.3, seed=0, max_iter=1)
     @settings(max_examples=300, deadline=None)
     def test_tie_heavy(self, K, kind, data_seed, k_frac, seed, max_iter):
         sim = tie_heavy_similarity(np.random.default_rng(data_seed), kind, K)
         k = 2 + int(k_frac * (K - 2))
         TestClusterLabels.assert_rows_match_reference(sim, [k], seed, max_iter)
-
-    def test_non_finite_off_diagonal_rejected(self):
-        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
-        sim[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            cluster_labels(sim, [2], seed=0)
 
 
 class TestClusterLabels:
@@ -250,14 +238,14 @@ class TestClusterLabels:
 
     @given(
         K=st.sampled_from([4, 32, 200]),
-        kind=st.sampled_from(["dyadic", "duplicated", "negative"]),
+        kind=st.sampled_from(["small", "duplicated", "negative"]),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**31 - 1),
         max_iter=st.sampled_from([1, 2, 100]),
     )
     # The tied 4+-member clusters of TestKmedoidsOracle, among other ks.
-    @example(K=32, kind="duplicated", data_seed=6, seed=0, max_iter=100)
-    @example(K=32, kind="duplicated", data_seed=123, seed=0, max_iter=1)
+    @example(K=32, kind="duplicated", data_seed=7, seed=0, max_iter=100)
+    @example(K=32, kind="duplicated", data_seed=0, seed=0, max_iter=1)
     @settings(max_examples=150, deadline=None)
     def test_tie_heavy(self, K, kind, data_seed, seed, max_iter):
         rng = np.random.default_rng(data_seed)
@@ -296,25 +284,29 @@ class TestClusterLabels:
             assert np.array_equal(row[:k], fresh)
             assert (row[k:] == n).all()
 
-    def test_empty_cluster_raises(self):
-        # Under a zero diagonal each class leaves its own medoid, and none
-        # joins medoid 2; with exact sums and with inexact ones.
-        for strong in (5.0, 5.0 / 3):
-            sim = np.array([[0.0, strong, 1.0], [strong, 0.0, 1.0], [1.0, 1.0, 0.0]])
-            with pytest.raises(ValueError, match="empty cluster"):
-                cluster_labels(sim, [2, 3], seed=0)
+    def test_rejects_matrices_without_exact_sums(self):
+        # A +inf diagonal and integer entries whose absolute total is below
+        # 2**53 make every sum exact; anything else is refused.
+        def blocks(entry=5.0, diagonal=MAX_SIM):
+            # Off-diagonal total: 2 * entry + 18.
+            sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+            sim[0, 1] = sim[1, 0] = entry
+            np.fill_diagonal(sim, diagonal)
+            return sim
 
-    def test_overflowing_sums_can_empty_a_cluster(self):
-        # Under a MAX_SIM diagonal, cluster {1, 2, 4}'s sums all overflow
-        # to -inf, so its argmax is class 0 of the other cluster {0, 3},
-        # which also picks 0. The next pass leaves one cluster empty.
-        seed = next(s for s in range(1000) if sorted(
-            np.random.default_rng(s).choice(5, 2, replace=False).tolist()) == [1, 3])
-        sim = np.full((5, 5), -1e308)
-        sim[0, 3] = sim[3, 0] = -1.0
-        np.fill_diagonal(sim, MAX_SIM)
-        with pytest.raises(ValueError, match="empty cluster"):
-            cluster_labels(sim, [2], seed=seed)
+        overflowing = np.full((5, 5), -1e308)
+        np.fill_diagonal(overflowing, MAX_SIM)
+        for sim in (
+            blocks(diagonal=0.0),
+            blocks(5 / 3),
+            blocks(np.nan),
+            blocks(np.inf),
+            overflowing,
+            blocks(2.0**52 - 9),  # total 2**53
+        ):
+            with pytest.raises(ValueError, match="integer off-diagonal"):
+                cluster_labels(sim, [2], seed=0)
+        assert cluster_labels(blocks(2.0**52 - 10), [2], seed=0)[2].all()  # total 2**53 - 2
 
     def test_invalid_k_in_any_row(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
@@ -353,10 +345,7 @@ class TestPickCandidates:
                 select_targets(peaked([0] * len(ks), 4), sim, ks, seed=0)
 
     def test_always_contains_query(self):
-        rng = np.random.default_rng(3)
-        raw = rng.random((10, 10))
-        sim = (raw + raw.T) / 2
-        np.fill_diagonal(sim, MAX_SIM)
+        sim = symmetric(np.random.default_rng(3).integers(0, 10, size=(10, 10)))
         # One row per (k, query class), mixed k within the batch.
         ks = np.repeat([2, 3, 5, 10], 10)
         queries = np.tile(np.arange(10), 4)

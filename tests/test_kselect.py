@@ -143,9 +143,8 @@ def test_mean_candidate_size_non_increasing_in_k():
     from soclabel.clustering import select_targets
     from soclabel.transitions import MAX_SIM, SimilarityMatrix
 
-    rng = np.random.default_rng(5)
-    raw = rng.random((16, 16))
-    sim = (raw + raw.T) / 2
+    raw = np.random.default_rng(5).integers(0, 10, size=(16, 16))
+    sim = (raw + raw.T).astype(float)
     np.fill_diagonal(sim, MAX_SIM)
     # Row c puts its argmax on class c, so the rows query every class.
     probs = np.full((16, 16), 0.5 / 15)

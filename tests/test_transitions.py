@@ -64,16 +64,15 @@ class TestObserveBatch:
 
 class TestSimilarity:
     def test_hand_value_two_batches(self):
-        # counts m->n of 3 then 1 (avg 2), n->m of 1 then 1 (avg 1)
+        # counts m->n of 3 then 1, n->m of 1 then 1
         ledger, bank = make(n_classes=4, window=8)
         m, n = 0, 1
         observe(ledger, bank, [(A, m), (B, m), (C, m), (X, n)])
         observe(ledger, bank, [(A, n), (B, n), (C, n), (X, m)])
         observe(ledger, bank, [(A, m), (X, n)])
         # window now holds 3 batches: events {} ; {3x mn, 1x nm} ; {1x nm, 1x mn}
-        w = len(ledger.window)
-        expected = (4 / w + 2 / w) / 2
-        assert ledger.similarity_matrix().values[m, n] == pytest.approx(expected)
+        # C[m, n] + C[n, m] = 4 + 2, whatever the window's length.
+        assert ledger.similarity_matrix().values[m, n] == 6.0
 
     def test_empty_window_is_zero(self):
         ledger, _ = make()
@@ -89,9 +88,9 @@ class TestSimilarity:
         observe(ledger, bank, [(A, 5)])
         sim = ledger.similarity_matrix()
         assert sim.ledger_version == 2
-        # one event over a 2-batch window: avg 0.5, symmetrized 0.25
-        assert sim.values[3, 5] == pytest.approx(0.25)
-        assert sim.values[5, 3] == pytest.approx(0.25)
+        # one event in a 2-batch window: C[3, 5] + C[5, 3] = 1
+        assert sim.values[3, 5] == 1.0
+        assert sim.values[5, 3] == 1.0
         off = ~np.eye(6, dtype=bool)
         others = sim.values[off]
         assert np.count_nonzero(others) == 2
@@ -108,7 +107,7 @@ class TestSimilarity:
 @settings(max_examples=100, deadline=None)
 def test_window_oracle_and_symmetry(data):
     K = data.draw(st.integers(3, 8))
-    window = data.draw(st.sampled_from([1, 2, 4]))
+    window = data.draw(st.sampled_from([1, 2, 3, 4]))
     n_batches = data.draw(st.integers(1, 12))
     ledger, bank = make(K, window)
     for _ in range(n_batches):
@@ -124,6 +123,10 @@ def test_window_oracle_and_symmetry(data):
     assert ledger.version == n_batches
     values = ledger.similarity_matrix().values
     assert np.array_equal(values, values.T)
+    # Exact counts off the diagonal, C + C^T, for any window length.
+    counts = rebuild_running_sum(ledger)
+    off = ~np.eye(K, dtype=bool)
+    assert np.array_equal(values[off], (counts + counts.T)[off])
 
 
 class TestSnapshot:
