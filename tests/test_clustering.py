@@ -193,6 +193,12 @@ class TestKmedoidsOracle:
         k = 2 + int(k_frac * (K - 2))
         TestClusterLabels.assert_rows_match_reference(sim, [k], seed, max_iter)
 
+    def test_non_finite_off_diagonal_rejected(self):
+        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+        sim[0, 1] = np.nan
+        with pytest.raises(ValueError, match="integer off-diagonal"):
+            cluster_labels(sim, [2], seed=0)
+
 
 class TestClusterLabels:
     """One lockstep pass over a set of ks equals the per-cluster loop for
@@ -284,24 +290,41 @@ class TestClusterLabels:
             assert np.array_equal(row[:k], fresh)
             assert (row[k:] == n).all()
 
+    def test_empty_cluster_raises(self):
+        # Under a zero diagonal each class could leave its own medoid, and
+        # none join medoid 2. Only a +inf diagonal keeps every cluster
+        # non-empty, so the matrix is refused before the first pass.
+        for strong in (5.0, 5.0 / 3):
+            sim = np.array([[0.0, strong, 1.0], [strong, 0.0, 1.0], [1.0, 1.0, 0.0]])
+            with pytest.raises(ValueError, match=r"\+inf diagonal"):
+                cluster_labels(sim, [2, 3], seed=0)
+
+    def test_overflowing_sums_can_empty_a_cluster(self):
+        # Under a MAX_SIM diagonal, cluster {1, 2, 4}'s sums would all
+        # overflow to -inf, and the next pass would leave one cluster empty.
+        # The absolute off-diagonal total overflows too, so the matrix is
+        # refused before the first pass.
+        seed = next(s for s in range(1000) if sorted(
+            np.random.default_rng(s).choice(5, 2, replace=False).tolist()) == [1, 3])
+        sim = np.full((5, 5), -1e308)
+        sim[0, 3] = sim[3, 0] = -1.0
+        np.fill_diagonal(sim, MAX_SIM)
+        with pytest.raises(ValueError, match="below 2\\*\\*53"):
+            cluster_labels(sim, [2], seed=seed)
+
     def test_rejects_matrices_without_exact_sums(self):
         # A +inf diagonal and integer entries whose absolute total is below
-        # 2**53 make every sum exact; anything else is refused.
-        def blocks(entry=5.0, diagonal=MAX_SIM):
+        # 2**53 make every sum exact; anything else is refused. The zero
+        # diagonal, NaN and overflowing inputs have tests of their own.
+        def blocks(entry=5.0):
             # Off-diagonal total: 2 * entry + 18.
             sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
             sim[0, 1] = sim[1, 0] = entry
-            np.fill_diagonal(sim, diagonal)
             return sim
 
-        overflowing = np.full((5, 5), -1e308)
-        np.fill_diagonal(overflowing, MAX_SIM)
         for sim in (
-            blocks(diagonal=0.0),
             blocks(5 / 3),
-            blocks(np.nan),
             blocks(np.inf),
-            overflowing,
             blocks(2.0**52 - 9),  # total 2**53
         ):
             with pytest.raises(ValueError, match="integer off-diagonal"):
