@@ -2,7 +2,8 @@
 inspection, simulation runs, and invariant verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 data error.
+3 data error, 141 stdout closed by its reader (128 + SIGPIPE, as shells
+report it).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+EXIT_PIPE = 141
 
 
 # Rows are normalized, checked and reduced to their argmax this many at a
@@ -214,18 +216,17 @@ def cmd_cluster(args) -> int:
     seed = _default_seed(args)
     records, _, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
-    sim = ledger.similarity_matrix()
     if args.k is not None:
         k = args.k
     else:
         policy = _policy_from_args(args, n_classes)
         k = int(select_k(policy, probs.max(axis=1).mean()))
-    labels, medoids, converged = cluster_labels(sim.values, [k], seed=seed)
+    labels, medoids, converged = cluster_labels(ledger.similarity_matrix(), [k], seed=seed)
     print(json.dumps({
         "k": k,
         "medoids": medoids[0].tolist(),
         "clusters": [np.flatnonzero(labels[0] == j).tolist() for j in range(k)],
-        "ledger_version": sim.ledger_version,
+        "ledger_version": ledger.version,
         "converged": bool(converged[0]),
     }))
     return EXIT_OK
@@ -392,7 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A reader that left early shows here, not in the flush at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # fd 1 points at devnull from here, so the flush at exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except SchemaError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import InvalidK
 from .labels import restrict
-from .transitions import SimilarityMatrix
 
 
 def _assign(sim: np.ndarray, medoids) -> np.ndarray:
@@ -51,53 +50,6 @@ def _update_medoids(
     return np.sort(np.where(real, best.reshape(n_rows, width), n), axis=1)
 
 
-def _initial_medoids(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
-    """Row r: the sorted `default_rng(seed).choice(n, ks[r], replace=False)`,
-    then the sentinel n up to width max(ks).
-
-    For n <= 10000 and k < n, choice runs Floyd's algorithm: draw i, for
-    i < k, is Lemire's bounded draw in [0, n-k+i] (Lemire, "Fast Random
-    Integer Generation in an Interval", arXiv 1805.10941), the high word
-    of u[i] * (n-k+i+1), where u is the fresh generator's 32-bit stream:
-    each 64-bit output, low half first. A draw already chosen is replaced
-    by n-k+i. So every k reads the same raw words, and one draw of
-    ceil(max(ks)/2) words seeds them all. A k with a draw that Lemire
-    would reject and redraw, and every k when n > 10000 (where choice may
-    shuffle instead), calls choice itself.
-    """
-    width = int(ks.max())
-    i = np.arange(width)
-    ks_col = ks[:, None]
-    words = np.random.default_rng(seed).bit_generator.random_raw((width + 1) // 2)
-    u = words.astype("<u8").view("<u4")[:width].astype(np.int64)
-    bound = (n + 1 + i) - ks_col
-    scaled = u * bound  # below 2**63 for n < 2**31
-    # Columns past k hold n + i: distinct, and sorted after every draw.
-    medoids = np.where(i < ks_col, scaled >> 32, n + i)
-    medoids.sort(axis=1)
-    # Lemire redraws when the low word is below (2**32 - bound) % bound.
-    # Unused columns are checked too, which only sends a rare k to choice.
-    redrawn = ((scaled & 0xFFFFFFFF) < (2**32 - bound) % bound).any(axis=1)
-    fallback = redrawn | (ks == n) | (n > 10000)
-    # Until one draw repeats another, no draw is replaced. A row with a
-    # repeat replays Floyd's loop.
-    repeats = (medoids[:, 1:] == medoids[:, :-1]).any(axis=1) & ~fallback
-    if repeats.any():
-        draws = (scaled >> 32).tolist()
-        for r in np.flatnonzero(repeats).tolist():
-            k = int(ks[r])
-            chosen = set()
-            for j, draw in enumerate(draws[r][:k]):
-                chosen.add(n - k + j if draw in chosen else draw)
-            medoids[r, :k] = sorted(chosen)
-    for r in np.flatnonzero(fallback).tolist():
-        k = int(ks[r])
-        # k == n takes every class; its one-value first bound draws nothing.
-        chosen = i[:k] if k == n else np.random.default_rng(seed).choice(n, k, replace=False)
-        medoids[r, :k] = np.sort(chosen)
-    return np.minimum(medoids, n)
-
-
 def cluster_labels(
     sim: np.ndarray, ks, seed: int, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,13 +57,14 @@ def cluster_labels(
 
     Returns (labels, medoids, converged): labels[r, c] is the cluster of
     class c in the ks[r]-partition, medoids[r, :ks[r]] its sorted medoids
-    (padded to max(ks) by repeating the last), and converged[r] whether
+    (padded to max(ks) with the sentinel K), and converged[r] whether
     that partition reached its fixed point within max_iter iterations.
     When max_iter is hit first, row r holds the latest assignment.
 
-    Seeding: row r starts from `default_rng(seed).choice(K, ks[r],
-    replace=False)`, sorted, so each row is deterministic for fixed
-    (sim, ks[r], seed, max_iter).
+    Seeding: row r starts from the first ks[r] entries of
+    `default_rng(seed).permutation(K)`, sorted, so each row is
+    deterministic for fixed (sim, ks[r], seed, max_iter), and the starts
+    are nested across k.
 
     Ties: a class joins the lowest-indexed of its most similar medoids,
     and a cluster's new medoid is the lowest-indexed of the members with
@@ -123,12 +76,11 @@ def cluster_labels(
     order, and each medoid stays in its own cluster, so no cluster empties.
 
     Lockstep: every k runs in the same pass. The matrix is checked once,
-    and every k is seeded from one raw draw of a fresh `default_rng(seed)`,
-    which gives each k the medoids its own `choice` would (see
-    _initial_medoids). Each k's medoid row is padded to the largest k with
-    a sentinel column of -inf similarity, which no argmax picks and which
-    sorts after every class. One matrix product updates the medoids of
-    every k, and the rules above apply to each cluster on its own.
+    and every k is seeded from the same permutation. Each k's medoid row
+    is padded to the largest k with a sentinel column of -inf similarity,
+    which no argmax picks and which sorts after every class. One matrix
+    product updates the medoids of every k, and the rules above apply to
+    each cluster on its own.
     A k at its fixed point leaves the pass, as a pass over that k alone
     would have stopped there, so row r is the same whichever other ks
     share the call.
@@ -164,17 +116,19 @@ def cluster_labels(
     padded[:, :n] = sim
     padded[:, n] = -np.inf
 
-    medoids = _initial_medoids(n, ks, seed)
-    kmax = medoids.shape[1]
+    kmax = int(ks.max())
     clusters = np.arange(kmax)
-    out_medoids = np.empty_like(medoids)
+    real = clusters < ks[:, None]
+    # Row r: the first ks[r] entries of one permutation, sorted, then n.
+    first = np.random.default_rng(seed).permutation(n)[:kmax]
+    medoids = np.sort(np.where(real, first, n), axis=1)
+    out_medoids = np.full_like(medoids, n)
     labels = np.empty((ks.size, n), dtype=np.intp)
     converged = np.zeros(ks.size, dtype=bool)
     # Partitions still iterating, their ks, and their medoid rows cut to
     # the largest of those ks. One at its fixed point stays there, so
     # dropping it stops it where its own loop would have stopped.
     active, ks_active, width = np.arange(ks.size), ks, kmax
-    real = clusters < ks[:, None]
     assignment = _assign(padded, medoids)
     for _ in range(max_iter):
         new = _update_medoids(sim_zero_diag, assignment, clusters[:width], real)
@@ -196,14 +150,12 @@ def cluster_labels(
         # max_iter reached: the latest assignment, not converged.
         labels[active] = assignment.T
         out_medoids[active, :width] = medoids
-    # Columns past k repeat the last medoid.
-    padding = np.minimum(clusters, ks[:, None] - 1)
-    return labels, out_medoids[np.arange(ks.size)[:, None], padding], converged
+    return labels, out_medoids, converged
 
 
 def select_targets(
     pnorm: np.ndarray,
-    sim: SimilarityMatrix,
+    sim: np.ndarray,
     ks: np.ndarray,
     seed: int,
     max_iter: int = 100,
@@ -216,7 +168,7 @@ def select_targets(
     both (n, K).
     """
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
-    n_classes = sim.values.shape[0]
+    n_classes = sim.shape[0]
     low, high = int(ks.min()), int(ks.max())
     if low < 2 or high > n_classes:
         # The smallest bad k, which cluster_labels would name.
@@ -227,7 +179,7 @@ def select_targets(
     which = (np.cumsum(present) - 1)[ks]
     # labels_by_k[u, c] is the cluster of class c in the u-th distinct k's
     # partition; same[u, a, c] is whether a and c share that cluster.
-    labels_by_k, _, _ = cluster_labels(sim.values, np.flatnonzero(present), seed, max_iter)
+    labels_by_k, _, _ = cluster_labels(sim, np.flatnonzero(present), seed, max_iter)
     same = labels_by_k[:, :, None] == labels_by_k[:, None, :]
     mask = same[which, pnorm.argmax(axis=1)]
     return restrict(pnorm, mask), mask

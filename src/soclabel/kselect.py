@@ -33,7 +33,7 @@ class KPolicy:
         if K < 3:
             raise ValueError("need at least 3 classes")
         if self.variant == "linear":
-            if self.alpha is None or self.alpha < K / (K - 2):
+            if self.alpha is None or not self.alpha >= K / (K - 2):  # NaN too
                 raise ValueError(f"alpha must be >= K/(K-2) = {K / (K - 2)}")
         elif self.variant == "exponential":
             bound = math.log(2 - 2 / K)
@@ -59,14 +59,27 @@ class KPolicy:
 
     @classmethod
     def from_config(cls, cfg: dict, n_classes: int) -> "KPolicy":
+        """The policy of a parsed config object; TypeError unless cfg is a
+        dict with a real alpha or beta, or an integer k."""
+        if not isinstance(cfg, dict):
+            raise TypeError(f"expected an object, got {cfg!r}")
         name = cfg.get("policy")
         if name == "linear":
-            return cls.linear(float(cfg["alpha"]), n_classes)
+            return cls.linear(_real(cfg, "alpha"), n_classes)
         if name in ("exp", "exponential"):
-            return cls.exponential(float(cfg["beta"]), n_classes)
+            return cls.exponential(_real(cfg, "beta"), n_classes)
         if name == "fixed":
-            return cls.fixed(int(cfg["k"]), n_classes)
+            if type(cfg["k"]) is not int:  # a bool is an int to Python
+                raise TypeError(f"k must be an integer, got {cfg['k']!r}")
+            return cls.fixed(cfg["k"], n_classes)
         raise ValueError(f"unknown policy {name!r}")
+
+
+def _real(cfg: dict, key: str) -> float:
+    value = cfg[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def select_k(policy: KPolicy, confidence) -> np.ndarray:

@@ -9,7 +9,7 @@ selected-soft-label training loop plus its ablation/baseline arms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,6 +26,19 @@ from .losses import (
     total_loss,
 )
 from .transitions import PredictionBank, TransitionLedger
+
+
+def _check_field_types(obj, error) -> None:
+    """Raise error unless every int field of the dataclass obj holds a
+    plain int (not a bool, not a float) and every float field a finite
+    real. A float window, say, would never evict."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise error(f"{f.name} must be an integer, got {value!r}")
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type == "float" and not (real and math.isfinite(value)):
+            raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +58,9 @@ class SyntheticDatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:  # a bool is an int to Python
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_field_types(self, ValueError)
         if self.n_super * self.fine_per_super < 4:
             raise ValueError("need at least 4 fine classes")
         if not self.intra_spread < self.inter_spread:
@@ -53,8 +69,6 @@ class SyntheticDatasetSpec:
                   self.test_per_class)
         if min(counts) < 1:
             raise ValueError("dim and the per-class sample counts must be positive")
-        if type(self.seed) is not int or self.seed < 0:  # a bool is an int to Python
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def n_classes(self) -> int:
@@ -150,6 +164,9 @@ class SimConfig:
     cluster_max_iter: int = 100
 
     def __post_init__(self):
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_field_types(self, ConfigError)
         if self.baseline not in BASELINES:
             raise ConfigError(f"baseline must be one of {BASELINES}")
         if not 0.0 <= self.tau <= 1.0:
@@ -161,8 +178,6 @@ class SimConfig:
                 "batch_size, mu, iters, window, eval_every, eval_subset and "
                 "cluster_max_iter must be positive"
             )
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -250,11 +265,10 @@ def build_targets(
     if config.baseline == "fixmatch":
         return one_hot(probs.argmax(axis=1), K), np.full(n, K)
 
-    sim = ledger.similarity_matrix()
     pnorm = probs / probs.sum(axis=1, keepdims=True)
     ks = select_k(config.k_policy, pnorm.max(axis=1))
     targets, _ = select_targets(
-        pnorm, sim, ks, seed=config.seed + sim.ledger_version,
+        pnorm, ledger.similarity_matrix(), ks, seed=config.seed + ledger.version,
         max_iter=config.cluster_max_iter,
     )
     return targets, ks
@@ -454,7 +468,7 @@ def config_from_dict(raw: dict) -> tuple[SimConfig, SyntheticDatasetSpec]:
     policy_raw = sim_raw.pop("k_policy", {"policy": "linear", "alpha": 5.0})
     try:
         policy = KPolicy.from_config(policy_raw, spec.n_classes)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"sim.k_policy: {exc}") from exc
     try:
         config = SimConfig(k_policy=policy, **sim_raw)

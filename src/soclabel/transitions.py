@@ -112,11 +112,12 @@ class TransitionLedger:
     def _count(self, batch: BatchTransitions, delta: int) -> None:
         np.add.at(self.running_sum, (batch.pairs[:, 0], batch.pairs[:, 1]), delta)
 
-    def similarity_matrix(self) -> "SimilarityMatrix":
-        """The window's symmetrized counts C + C^T, with a MAX_SIM diagonal."""
-        values = (self.running_sum + self.running_sum.T).astype(float)
-        np.fill_diagonal(values, MAX_SIM)
-        return SimilarityMatrix(values, self.version)
+    def similarity_matrix(self) -> np.ndarray:
+        """The window's symmetrized counts C + C^T as floats, with a MAX_SIM
+        diagonal."""
+        sim = (self.running_sum + self.running_sum.T).astype(float)
+        np.fill_diagonal(sim, MAX_SIM)
+        return sim
 
     def to_json(self) -> str:
         snap = {
@@ -167,14 +168,6 @@ class TransitionLedger:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
         return ledger
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """A ledger's C + C^T as floats, MAX_SIM on the diagonal, and its version."""
-
-    values: np.ndarray
-    ledger_version: int
 
 
 def rebuild_running_sum(ledger: TransitionLedger) -> np.ndarray:

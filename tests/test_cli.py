@@ -19,6 +19,7 @@ from soclabel import labels as lb
 from soclabel.cli import (
     EXIT_DATA,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     LOG_SCHEMA,
     READ_BLOCK,
@@ -58,7 +59,7 @@ class TestSelect:
             assert out.read_bytes() == golden.read_bytes()
 
     def test_bad_policy_exits_usage(self, capsys):
-        for flags in (["--policy", "fixed"], ["--alpha", "1.0"]):
+        for flags in (["--policy", "fixed"], ["--alpha", "1.0"], ["--alpha", "nan"]):
             assert main(["select", TOY_LOG, *flags]) == EXIT_USAGE
             assert "Traceback" not in capsys.readouterr().err
 
@@ -84,14 +85,29 @@ class TestSelect:
             assert support <= set(rec["candidate_classes"])
             assert rec["entropy_after"] <= rec["entropy_before"] + 1e-12
 
-    def test_hand_traced_similarity_edge(self, tmp_path):
+    def test_hand_traced_similarity_edge(self, tmp_path, capsys):
         # Samples a and b swap between classes 0 and 1, so those classes
-        # cluster together and both samples keep mass on {0, 1} only.
-        _, out = run_select(tmp_path)
-        by_id = {json.loads(l)["id"]: json.loads(l) for l in out.read_text().splitlines()}
-        assert by_id["a"]["candidate_classes"] == [0, 1]
-        assert by_id["b"]["candidate_classes"] == [0, 1]
-        assert by_id["a"]["p_tilde"][0] == pytest.approx(0.7 / 0.9)
+        # cluster together. At k=2 the partition is {0,1},{2,3} from any
+        # start, so b (k=2) keeps {0, 1}. At k=3 both {0,1},{2},{3} and
+        # {0},{1},{2,3} are fixed points, so a (k=3) keeps {0, 1} or {0},
+        # by seed, with its input mass renormalized on them.
+        a_probs = [0.7, 0.2, 0.06, 0.04]
+        for seed in range(20):
+            out = tmp_path / "out.ndjson"
+            assert main(["select", TOY_LOG, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            by_id = {json.loads(l)["id"]: json.loads(l) for l in out.read_text().splitlines()}
+            a, b = by_id["a"], by_id["b"]
+            assert (a["k"], b["k"]) == (3, 2)
+            assert b["candidate_classes"] == [0, 1]
+            assert a["candidate_classes"] in ([0, 1], [0])
+            mass = sum(a_probs[c] for c in a["candidate_classes"])
+            expected = [a_probs[c] / mass if c in a["candidate_classes"] else 0.0
+                        for c in range(4)]
+            assert a["p_tilde"] == pytest.approx(expected)
+
+            assert main(["cluster", TOY_LOG, "--k", "2", "--seed", str(seed)]) == EXIT_OK
+            clusters = json.loads(capsys.readouterr().out)["clusters"]
+            assert {frozenset(c) for c in clusters} == {frozenset({0, 1}), frozenset({2, 3})}
 
     def test_single_step_log_warns(self, tmp_path, capsys):
         log = tmp_path / "single.ndjson"
@@ -488,7 +504,8 @@ class TestSim:
             assert rows[0].endswith(",k_mean")
             assert [float(row.split(",")[-1]) for row in rows[1:]] == [k] * 3
 
-    def test_bad_config_exits_usage(self, tmp_path):
+    def test_bad_config_exits_usage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
         config = tmp_path / "bad.json"
         for bad in (
             {"sim": {"baseline": "mystery"}},
@@ -498,9 +515,22 @@ class TestSim:
             {"sim": {"mu": 7, "batch_size": 64}, "dataset": {"unlabeled_per_class": 10}},
             {"sim": 3},
             [],
+            # Wrong-typed fields.
+            {"sim": {"k_policy": 5}},
+            {"sim": {"k_policy": {"policy": "linear", "alpha": None}}},
+            {"sim": {"k_policy": {"policy": "fixed", "k": 2.7}}},
+            {"sim": {"iters": 1.5}},
+            {"sim": {"lr": "x"}},
+            {"sim": {"lambda_cos": "x"}},
+            {"sim": {"cluster_max_iter": 1.5}},
+            {"sim": {"window": 2.5}},
+            {"sim": {"eval_every": 2.5}},
+            {"dataset": {"n_super": 2.5}},
         ):
             config.write_text(json.dumps(bad))
-            assert main(["sim", "--config", str(config)]) == EXIT_USAGE
+            assert main(["sim", "--config", str(config)]) == EXIT_USAGE, bad
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_config_not_json(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -550,6 +580,23 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"config error: --trials must be positive, got {trials}\n"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["select", TOY_LOG], ["cluster", TOY_LOG], ["verify", "lemma1", "--trials", "5"],
+    ], ids=["select", "cluster", "verify"])
+    def test_exits_pipe_without_traceback(self, argv):
+        # The reader closes its end before the child writes, as `| head`
+        # does once it has its lines.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "soclabel.cli", *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait() == EXIT_PIPE
+        assert err == b""
 
 
 class TestBadSeed:

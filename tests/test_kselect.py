@@ -141,7 +141,7 @@ def test_mean_candidate_size_non_increasing_in_k():
     # Larger k means finer clusters, so the average candidate-set size
     # over a fixed similarity matrix shrinks (weakly).
     from soclabel.clustering import select_targets
-    from soclabel.transitions import MAX_SIM, SimilarityMatrix
+    from soclabel.transitions import MAX_SIM
 
     raw = np.random.default_rng(5).integers(0, 10, size=(16, 16))
     sim = (raw + raw.T).astype(float)
@@ -151,7 +151,7 @@ def test_mean_candidate_size_non_increasing_in_k():
     np.fill_diagonal(probs, 0.5)
     means = []
     for k in (2, 4, 8, 16):
-        _, mask = select_targets(probs, SimilarityMatrix(sim, 0), np.full(16, k), seed=0)
+        _, mask = select_targets(probs, sim, np.full(16, k), seed=0)
         means.append(mask.sum(axis=1).mean())
     assert all(b <= a for a, b in zip(means, means[1:]))
 

@@ -198,7 +198,7 @@ class TestTrainingLoop:
 
     def test_pinned_soc_trajectory(self, tmp_path):
         # Without warmup, k-medoids sees partial windows of 3, 5, 6 and 7
-        # batches, whose similarities are inexact, before the window fills.
+        # batches before the window fills.
         # A change to either digest is a change of behaviour.
         spec = SyntheticDatasetSpec()
         config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes), window=8,
@@ -208,9 +208,9 @@ class TestTrainingLoop:
         write_metrics_csv(state.history, csv)
         weights = state.model.weights.tobytes() + state.model.bias.tobytes()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "fc4b1530f96a93a303687ec60587003de894ab0e36b52d18818695c52b34b223")
+            "2a2bc751adb057c7edc647170e92e04f3fa62885a97eb94ab09e65f890c38ed6")
         assert hashlib.sha256(weights).hexdigest() == (
-            "e96232cab177af0a57ddcc978480c55963b0a846d499dad883579562b5082b4a")
+            "0d8462e2557ba21c00e062fc069eefb48be56b61287a45464d64e14138291b18")
 
     def test_pinned_soc_trajectory_k200(self, tmp_path):
         # K=200 in 40 super-classes of 5, the class count of Semi-Aves and
@@ -225,9 +225,9 @@ class TestTrainingLoop:
         write_metrics_csv(state.history, csv)
         weights = state.model.weights.tobytes() + state.model.bias.tobytes()
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "53904ace13d8545cb06d783e7b81d2b68dc5cd7866b48c58915e00b5be0df783")
+            "086c436fa924015e60c87e72f0cec0f2224130a6a4d7b57936813818a6190501")
         assert hashlib.sha256(weights).hexdigest() == (
-            "fe8bf66297490debac8e38e962f0f49196962bf2f6e9ba16611ec46183d4e259")
+            "de4b0b60ce1496501fc7f818d0ab034a160247cbb59c1c262490a0e63dd2bdd4")
 
     def test_entropy_vs_k_equals_one_k_at_a_time(self):
         # The single pass over every k gives each k's mean bit for bit as

@@ -72,35 +72,35 @@ class TestSimilarity:
         observe(ledger, bank, [(A, m), (X, n)])
         # window now holds 3 batches: events {} ; {3x mn, 1x nm} ; {1x nm, 1x mn}
         # C[m, n] + C[n, m] = 4 + 2, whatever the window's length.
-        assert ledger.similarity_matrix().values[m, n] == 6.0
+        assert ledger.similarity_matrix()[m, n] == 6.0
 
     def test_empty_window_is_zero(self):
         ledger, _ = make()
-        assert ledger.similarity_matrix().values[0, 1] == 0.0
+        assert ledger.similarity_matrix()[0, 1] == 0.0
 
     def test_diagonal_sentinel(self):
         ledger, _ = make()
-        assert ledger.similarity_matrix().values[2, 2] == MAX_SIM
+        assert ledger.similarity_matrix()[2, 2] == MAX_SIM
 
     def test_single_event_matrix(self):
         ledger, bank = make()
         observe(ledger, bank, [(A, 3)])
         observe(ledger, bank, [(A, 5)])
         sim = ledger.similarity_matrix()
-        assert sim.ledger_version == 2
+        assert ledger.version == 2
         # one event in a 2-batch window: C[3, 5] + C[5, 3] = 1
-        assert sim.values[3, 5] == 1.0
-        assert sim.values[5, 3] == 1.0
+        assert sim[3, 5] == 1.0
+        assert sim[5, 3] == 1.0
         off = ~np.eye(6, dtype=bool)
-        others = sim.values[off]
+        others = sim[off]
         assert np.count_nonzero(others) == 2
 
     def test_empty_matrix(self):
         ledger, _ = make()
         sim = ledger.similarity_matrix()
         off = ~np.eye(6, dtype=bool)
-        assert np.all(sim.values[off] == 0.0)
-        assert np.all(np.diag(sim.values) == MAX_SIM)
+        assert np.all(sim[off] == 0.0)
+        assert np.all(np.diag(sim) == MAX_SIM)
 
 
 @given(st.data())
@@ -121,7 +121,7 @@ def test_window_oracle_and_symmetry(data):
     assert np.all(np.diag(ledger.running_sum) == 0)
     assert len(ledger.window) <= window
     assert ledger.version == n_batches
-    values = ledger.similarity_matrix().values
+    values = ledger.similarity_matrix()
     assert np.array_equal(values, values.T)
     # Exact counts off the diagonal, C + C^T, for any window length.
     counts = rebuild_running_sum(ledger)
