@@ -1,9 +1,9 @@
 """Command-line front door: offline selection on prediction logs, cluster
 inspection, simulation runs, and invariant verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 data error, 141 stdout closed by its reader (128 + SIGPIPE, as shells
-report it).
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
+unwritable output path included), 3 data error, 141 stdout closed by its
+reader (128 + SIGPIPE, as shells report it).
 """
 
 from __future__ import annotations
@@ -185,6 +185,14 @@ def _default_seed(args) -> int:
     return int(text)
 
 
+def _open_out(path: str, mode: str = "w"):
+    """path opened for writing; a path that cannot be is a ConfigError."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def cmd_select(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
@@ -196,7 +204,7 @@ def cmd_select(args) -> int:
     targets, mask = select_targets(probs, ledger.similarity_matrix(), ks, seed=seed)
     before = lb.entropy(probs).tolist()
     after = lb.entropy(targets).tolist()
-    sink = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    sink = _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out:
         for i, sample_id in enumerate(final_ids):
             out.write(json.dumps({
@@ -274,6 +282,13 @@ def cmd_sim(args) -> int:
         sim_raw["iters"] = args.iters
 
     config, spec = config_from_dict(raw)
+    # Checked before training, not after it, and without leaving a file:
+    # append mode keeps an existing one, and a new one is removed again.
+    for path in filter(None, (args.out, args.pairs_out)):
+        existed = os.path.lexists(path)
+        _open_out(path, "a").close()
+        if not existed:
+            os.remove(path)
     dataset = generate_dataset(spec)
     state = run(config, dataset)
     write_metrics_csv(state.history, args.out)
@@ -294,7 +309,7 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     probs = softmax(state.model.logits(dataset.x_unlabeled))
     targets, _ = build_targets(probs, config, state.ledger)
     zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled)
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         fh.write("zobj1,entropy\n")
         for z, h in zip(zobj1, lb.entropy(targets).tolist()):
             fh.write(f"{z},{h}\n")
@@ -382,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy_sweep)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")
-    p.add_argument("suite", help="lemma1|theorem1|krange|cluster|ctt|losses|all")
+    p.add_argument("suite", help="lemma1|uniform_mass|theorem1|krange|cluster|ctt|losses|all")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)

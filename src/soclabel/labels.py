@@ -1,12 +1,10 @@
-"""Probability vectors, label restriction and selection scores.
+"""Probability rows, label restriction, entropy and selection scores.
 
-Class indices are 0-based throughout. Restriction and the scores work on
-batches: one row per sample, one column per class.
+Class indices are 0-based throughout. Everything works on batches: one
+row per sample, one column per class.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,22 +50,6 @@ def check_rows(p: np.ndarray) -> None:
     raise InvalidRow(i, f"probabilities sum to {sums[i]}, not 1")
 
 
-@dataclass(frozen=True)
-class ProbVector:
-    """A length-K distribution over classes (post-softmax output)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        check_rows(p[None])
-
-    def argmax(self) -> int:
-        # np.argmax returns the first maximum: ties break to the lowest index.
-        return int(np.argmax(self.probs))
-
-
 def restrict(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Zero the entries outside the boolean mask and renormalize each row.
 
@@ -86,26 +68,25 @@ def restrict(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return masked / total
 
 
-def entropy(p: ProbVector | np.ndarray) -> float | np.ndarray:
+def entropy(p: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in nats, with 0 * ln 0 = 0.
 
-    A 2-D batch gives one entropy per row, each equal bit for bit to the
-    row's own: rows with the same number of nonzeros are summed together,
-    their nonzeros packed in column order, so each row is reduced in the
-    order a lone row would be.
+    A 2-D batch gives one entropy per row; a 1-D vector runs as a one-row
+    batch and gives a float. Rows with the same number of nonzeros are
+    summed together, their nonzeros packed in column order, so each row is
+    reduced in the order a lone row would be: a row's entropy is the same
+    bit for bit in any batch.
     """
-    v = p.probs if isinstance(p, ProbVector) else np.asarray(p, dtype=float)
-    if v.ndim == 2:
-        positive = v > 0
-        counts = positive.sum(axis=1)
-        out = np.empty(v.shape[0])
-        for m in np.flatnonzero(np.bincount(counts)).tolist():
-            rows = np.flatnonzero(counts == m)
-            nz = v[rows][positive[rows]].reshape(rows.size, m)
-            out[rows] = -np.sum(nz * np.log(nz), axis=1)
-        return out
-    nz = v[v > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    v = np.asarray(p, dtype=float)
+    batch = v[None] if v.ndim == 1 else v
+    positive = batch > 0
+    counts = positive.sum(axis=1)
+    out = np.empty(batch.shape[0])
+    for m in np.flatnonzero(np.bincount(counts)).tolist():
+        rows = np.flatnonzero(counts == m)
+        nz = batch[rows][positive[rows]].reshape(rows.size, m)
+        out[rows] = -np.sum(nz * np.log(nz), axis=1)
+    return float(out[0]) if v.ndim == 1 else out
 
 
 def obj1_score(probs: np.ndarray, targets: np.ndarray, y_star: np.ndarray) -> np.ndarray:

@@ -17,14 +17,7 @@ from . import labels as lb
 from .clustering import select_targets
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch
 from .kselect import KPolicy, select_k
-from .losses import (
-    LossReport,
-    cross_entropy_terms,
-    fixmatch_weights,
-    one_hot,
-    softmax,
-    total_loss,
-)
+from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
 from .transitions import PredictionBank, TransitionLedger
 
 
@@ -285,9 +278,10 @@ def soc_step(
     config: SimConfig,
     in_warmup: bool = False,
     lr: float | None = None,
-) -> LossReport:
+) -> float:
     """One training iteration: weak/strong forward passes, transition
-    tracking, target selection, losses and an SGD-momentum update."""
+    tracking, target selection, losses and an SGD-momentum update. Returns
+    the total loss, sup + lambda_cos * cos."""
     x_lab, y_lab = labeled
     ulb_ids, x_ulb = unlabeled
     B = x_lab.shape[0]
@@ -329,8 +323,8 @@ def soc_step(
         cos = 0.0
         grad_strong = None
 
-    total = total_loss(sup, cos, config.lambda_cos)
-    if not np.isfinite(total):
+    total = sup + config.lambda_cos * cos
+    if not math.isfinite(total):
         raise DivergedAtIteration(state.iteration)
 
     grad_w = grad_lab.T @ xw_lab
@@ -347,7 +341,7 @@ def soc_step(
     model.bias -= step_lr * state.vel_b
     state.iteration += 1
 
-    return LossReport(sup, cos, total, config.lambda_cos)
+    return total
 
 
 def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow:

@@ -1,16 +1,16 @@
 """Streaming class-transition statistics over a rolling batch window.
 
 A transition is recorded whenever the model's argmax prediction for a
-sample changes between consecutive observations. Per-batch events are kept
-as (from, to) rows of an integer array; the window's counts C are summed
-densely, and the similarity C + C^T is integer-valued, so its sums are exact.
+sample changes between consecutive observations. Each batch's events are
+kept as the (from, to) rows of a read-only (n, 2) int64 array, in batch
+order and never with from == to; the window's counts C are summed densely,
+and the similarity C + C^T is integer-valued, so its sums are exact.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,24 +33,6 @@ class PredictionBank:
         self.last_pred = np.full(n_ids, UNOBSERVED, dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class BatchTransitions:
-    """The (from_class, to_class) events of one batch, one row each, in
-    batch order; never from == to."""
-
-    pairs: np.ndarray
-
-    def __post_init__(self):
-        pairs = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
-        pairs.flags.writeable = False
-        object.__setattr__(self, "pairs", pairs)
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("self-transitions are not allowed")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 class TransitionLedger:
     """Rolling window of the most recent batches of transition events."""
 
@@ -61,12 +43,13 @@ class TransitionLedger:
             raise ValueError("window size must be positive")
         self.n_classes = n_classes
         self.window_size = window_size
-        self.window: deque[BatchTransitions] = deque()
+        self.window: deque[np.ndarray] = deque()
         self.running_sum = np.zeros((n_classes, n_classes), dtype=np.int64)
         self.version = 0
 
-    def observe_batch(self, bank: PredictionBank, ids, preds) -> BatchTransitions:
-        """Record one batch: sample ids[i] was predicted as class preds[i].
+    def observe_batch(self, bank: PredictionBank, ids, preds) -> np.ndarray:
+        """Record one batch, sample ids[i] predicted as class preds[i], and
+        return its events.
 
         A sample's first observation updates the bank without counting a
         transition. An id seen twice in one batch moves from its earlier
@@ -100,7 +83,9 @@ class TransitionLedger:
         bank.last_pred[sorted_ids[last]] = sorted_preds[last]
 
         moved = (prev != UNOBSERVED) & (prev != preds)
-        recorded = BatchTransitions(np.stack([prev[moved], preds[moved]], axis=1))
+        recorded = np.stack([prev[moved], preds[moved]], axis=1)
+        # Eviction subtracts the array's events again: it must not change.
+        recorded.flags.writeable = False
 
         if len(self.window) == self.window_size:
             self._count(self.window.popleft(), -1)
@@ -109,8 +94,8 @@ class TransitionLedger:
         self.version += 1
         return recorded
 
-    def _count(self, batch: BatchTransitions, delta: int) -> None:
-        np.add.at(self.running_sum, (batch.pairs[:, 0], batch.pairs[:, 1]), delta)
+    def _count(self, pairs: np.ndarray, delta: int) -> None:
+        np.add.at(self.running_sum, (pairs[:, 0], pairs[:, 1]), delta)
 
     def similarity_matrix(self) -> np.ndarray:
         """The window's symmetrized counts C + C^T as floats, with a MAX_SIM
@@ -125,7 +110,7 @@ class TransitionLedger:
             "n_classes": self.n_classes,
             "window_size": self.window_size,
             "version": self.version,
-            "window": [b.pairs.tolist() for b in self.window],
+            "window": [b.tolist() for b in self.window],
         }
         return json.dumps(snap)
 
@@ -158,12 +143,16 @@ class TransitionLedger:
                     f"{ledger.window_size}"
                 )
             for batch in snap["window"]:
-                bt = BatchTransitions([(int(m), int(n)) for m, n in batch])
+                pairs = np.array([(int(m), int(n)) for m, n in batch], dtype=np.int64)
+                pairs = pairs.reshape(-1, 2)
+                if np.any(pairs[:, 0] == pairs[:, 1]):
+                    raise ValueError("self-transitions are not allowed")
                 # Negative indices would wrap into the running sum.
-                if np.any((bt.pairs < 0) | (bt.pairs >= K)):
+                if np.any((pairs < 0) | (pairs >= K)):
                     raise SchemaError(f"class index outside [0, {K})")
-                ledger.window.append(bt)
-                ledger._count(bt, 1)
+                pairs.flags.writeable = False
+                ledger.window.append(pairs)
+                ledger._count(pairs, 1)
             ledger.version = version
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed snapshot: {type(exc).__name__}: {exc}") from exc
@@ -174,6 +163,6 @@ def rebuild_running_sum(ledger: TransitionLedger) -> np.ndarray:
     """From-scratch recount of the window; oracle for the incremental sum."""
     total = np.zeros((ledger.n_classes, ledger.n_classes), dtype=np.int64)
     for batch in ledger.window:
-        for m, n in batch.pairs.tolist():
+        for m, n in batch.tolist():
             total[m, n] += 1
     return total

@@ -14,7 +14,7 @@ import numpy as np
 from . import labels as lb
 from .clustering import _assign, cluster_labels
 from .kselect import KPolicy, select_k
-from .losses import cross_entropy, cross_entropy_grad
+from .losses import cross_entropy, cross_entropy_terms
 from .transitions import PredictionBank, TransitionLedger, rebuild_running_sum
 
 ENTROPY_TOL = 1e-12
@@ -39,10 +39,10 @@ class SuiteResult:
             self.failures.append(detail)
 
 
-def _random_prob(rng: np.random.Generator, n_classes: int) -> lb.ProbVector:
+def _random_prob(rng: np.random.Generator, n_classes: int) -> np.ndarray:
     conc = rng.choice([0.05, 0.2, 1.0, 5.0])
     p = rng.dirichlet(np.full(n_classes, conc))
-    return lb.ProbVector(p / p.sum())
+    return p / p.sum()
 
 
 def _mask_with_argmax(
@@ -65,8 +65,8 @@ def suite_lemma1(trials: int = 10000, seed: int = 0) -> SuiteResult:
         K = int(rng.integers(3, 201))
         p = _random_prob(rng, K)
         size = int(rng.integers(1, min(11, K) + 1))
-        mask = _mask_with_argmax(rng, p.probs, range(K), size)
-        ok = lb.entropy(lb.restrict(p.probs, mask)) <= lb.entropy(p) + ENTROPY_TOL
+        mask = _mask_with_argmax(rng, p, range(K), size)
+        ok = lb.entropy(lb.restrict(p, mask)) <= lb.entropy(p) + ENTROPY_TOL
         res.record(ok, (K, size))
     return res
 
@@ -90,10 +90,10 @@ def suite_uniform_mass(trials: int = 1000, seed: int = 0) -> SuiteResult:
             p_arr = np.zeros(K)
             p_arr[selected] = v
             p_arr[np.setdiff1d(np.arange(K), selected)] = (1 - size * v) * w
-        p = lb.ProbVector(p_arr / p_arr.sum())
+        p = p_arr / p_arr.sum()
         mask = np.zeros(K, dtype=bool)
         mask[selected] = True
-        ok = lb.entropy(lb.restrict(p.probs, mask)) <= lb.entropy(p) + ENTROPY_TOL
+        ok = lb.entropy(lb.restrict(p, mask)) <= lb.entropy(p) + ENTROPY_TOL
         res.record(ok, (K, size))
     return res
 
@@ -107,7 +107,7 @@ def suite_theorem1(trials: int = 1000, seed: int = 0) -> SuiteResult:
         p = _random_prob(rng, K)
         length = int(rng.integers(3, 6))
         sizes = sorted(rng.choice(np.arange(1, 12), size=length, replace=False))[::-1]
-        current = p.probs
+        current = p
         mask = _mask_with_argmax(rng, current, range(K), int(sizes[0]))
         entropies = [lb.entropy(p)]
         for size in sizes:
@@ -242,9 +242,11 @@ def suite_cluster(trials: int = 500, seed: int = 0) -> SuiteResult:
 
 
 def suite_losses(
-    trials: int = 200, seed: int = 0, step: float = 1e-5, grad_fn=cross_entropy_grad
+    trials: int = 200, seed: int = 0, step: float = 1e-5,
+    grad_fn=lambda target, logits: cross_entropy_terms(target, logits)[1],
 ) -> SuiteResult:
-    """Analytic cross-entropy gradient (grad_fn) vs central finite differences.
+    """Analytic cross-entropy gradient (grad_fn, by default the one training
+    uses) vs central finite differences.
 
     Each trial's error is normwise, max|grad - fd| / max|fd|. A relative
     error per component is dominated by the differencing's rounding on
@@ -270,6 +272,7 @@ def suite_losses(
 
 SUITES = {
     "lemma1": suite_lemma1,
+    "uniform_mass": suite_uniform_mass,
     "theorem1": suite_theorem1,
     "krange": suite_krange,
     "cluster": suite_cluster,

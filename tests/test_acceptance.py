@@ -111,15 +111,14 @@ def _loss_trace(config, dataset, iters):
     for t in range(iters):
         li = state.rng_data.choice(n_lab, config.batch_size, replace=False)
         ui = state.rng_data.choice(n_ulb, config.mu * config.batch_size, replace=False)
-        rep = soc_step(
+        totals.append(soc_step(
             state,
             (dataset.x_labeled[li], dataset.y_labeled[li]),
             (ui, dataset.x_unlabeled[ui]),
             config,
             in_warmup=t < w,
             lr=cosine_lr(config, t),
-        )
-        totals.append(rep.total)
+        ))
     return np.array(totals)
 
 

@@ -23,7 +23,9 @@ def test_every_traced_name_resolves():
     }
     # pick_candidates and select_label were deleted with the per-sample
     # selection path; kmedoids with the single-k wrapper, whose metrics
-    # already read 0 because training and select call cluster_labels.
+    # already read 0 because training and select call cluster_labels;
+    # ProbVector, whose call count read 0, with the one-row wrapper.
     assert absent == {
-        "clustering.kmedoids", "clustering.pick_candidates", "labels.select_label"
+        "clustering.kmedoids", "clustering.pick_candidates", "labels.ProbVector",
+        "labels.select_label",
     }

@@ -225,7 +225,7 @@ class TestLogErrors:
 def reference_read_log(path: str):
     """The record-by-record parser that _read_log replaced, kept as the
     oracle. It returns (records, final_step, n_classes), where final_step
-    holds (id, ProbVector) for the records of the highest step."""
+    holds (id, probability row) for the records of the highest step."""
     records = []
     final_step = []
     top_step = None
@@ -259,10 +259,11 @@ def reference_read_log(path: str):
             seen.add((sample_id, step))
             try:
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    p = lb.ProbVector(probs / probs.sum())
+                    p = probs / probs.sum()
+                lb.check_rows(p[None])
             except ValueError as exc:
                 raise SchemaError(f"line {lineno}: bad probabilities ({exc})") from exc
-            records.append((step, sample_id, p.argmax()))
+            records.append((step, sample_id, int(np.argmax(p))))
             if top_step is None or step > top_step:
                 top_step, final_step = step, []
             if step == top_step:
@@ -383,7 +384,7 @@ class TestReadLogOracle:
             got_records, final_ids, final_probs, got_classes = got
             assert got_records == records
             assert final_ids == [sample_id for sample_id, _ in final_step]
-            want = np.stack([p.probs for _, p in final_step])
+            want = np.stack([p for _, p in final_step])
             assert final_probs.dtype == want.dtype and final_probs.shape == want.shape
             assert final_probs.tobytes() == want.tobytes()
             assert got_classes == n_classes
@@ -550,6 +551,35 @@ def no_training(*args):
     raise AssertionError("trained before checking the arguments")
 
 
+class TestOutputPath:
+    """An output path that cannot be written exits 2 with one line; sim
+    finds it before training and leaves no file behind."""
+
+    def bad_paths(self, tmp_path):
+        return [str(tmp_path), str(tmp_path / "missing" / "out.csv")]
+
+    def assert_cannot_write(self, argv, path, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {path}: ") and err.count("\n") == 1
+
+    def test_select_out(self, tmp_path, capsys):
+        for path in self.bad_paths(tmp_path):
+            self.assert_cannot_write(["select", TOY_LOG, "--out", path], path, capsys)
+
+    def test_sim_out_and_pairs_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        metrics, pairs = tmp_path / "metrics.csv", tmp_path / "pairs.csv"
+        metrics.write_text("kept\n")
+        for path in self.bad_paths(tmp_path):
+            self.assert_cannot_write(["sim", "--out", path], path, capsys)
+            for out in (metrics, pairs):
+                self.assert_cannot_write(
+                    ["sim", "--out", str(out), "--pairs-out", path], path, capsys)
+        assert list(tmp_path.iterdir()) == [metrics]
+        assert metrics.read_text() == "kept\n"
+
+
 class TestEntropySweep:
     def test_bad_input_exits_usage(self, tmp_path):
         config = tmp_path / "bad.json"
@@ -570,6 +600,10 @@ class TestVerify:
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "lemma1", "--trials", "50", "--seed", "1"]) == EXIT_OK
         assert "pass" in capsys.readouterr().out
+
+    def test_uniform_mass_suite_passes(self, capsys):
+        assert main(["verify", "uniform_mass", "--trials", "50"]) == EXIT_OK
+        assert capsys.readouterr().out == "uniform_mass: 50/50 pass\n"
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "nonsense"]) == EXIT_USAGE

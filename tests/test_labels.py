@@ -10,7 +10,6 @@ from soclabel.errors import ShapeMismatch, ZeroMass
 from soclabel.labels import (
     NOT_A_VECTOR,
     InvalidRow,
-    ProbVector,
     check_rows,
     entropy,
     obj1_score,
@@ -20,7 +19,9 @@ from soclabel.labels import (
 
 
 def prob(*values):
-    return ProbVector(np.array(values, dtype=float))
+    p = np.array(values, dtype=float)
+    check_rows(p[None])
+    return p
 
 
 def indicator(classes, n):
@@ -30,6 +31,9 @@ def indicator(classes, n):
 
 
 class TestProbVector:
+    """check_rows on one row, the check prob() makes; it replaced the
+    deleted ProbVector class."""
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             prob(0.5, 0.6, -0.1)
@@ -42,14 +46,11 @@ class TestProbVector:
 
     def test_rejects_k1(self):
         with pytest.raises(ValueError):
-            ProbVector(np.array([1.0]))
-
-    def test_argmax_tie_breaks_low(self):
-        assert prob(0.4, 0.4, 0.2).argmax() == 0
+            prob(1.0)
 
 
 class TestCheckRows:
-    """check_rows, the batch check behind ProbVector and the log parser."""
+    """check_rows, the one probability check, behind the log parser."""
 
     def test_first_bad_row_and_its_message(self):
         uniform = np.full((5, 3), 1 / 3)
@@ -65,7 +66,7 @@ class TestCheckRows:
                 check_rows(batch)
             assert (exc.value.row, str(exc.value)) == (2, message)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                ProbVector(np.array(row))
+                prob(*row)
         check_rows(uniform)
 
     def test_sum_in_message_is_the_lone_rows(self):
@@ -84,14 +85,14 @@ class TestCheckRows:
                 check_rows(bad)
         for bad in (np.ones((2, 2)) / 2, np.float64(1.0)):
             with pytest.raises(ValueError, match=NOT_A_VECTOR):
-                ProbVector(bad)
+                check_rows(np.asarray(bad)[None])
 
 
 class TestSelectLabel:
     """restrict: the selected soft label of each row."""
 
     def test_hand_renormalization(self):
-        out = restrict(prob(0.5, 0.3, 0.2).probs, indicator({0, 1}, 3))
+        out = restrict(prob(0.5, 0.3, 0.2), indicator({0, 1}, 3))
         assert np.allclose(out, [0.625, 0.375, 0.0])
         assert out[2] == 0.0
         # A batch renormalizes each row on its own.
@@ -101,24 +102,30 @@ class TestSelectLabel:
 
     def test_all_ones_is_identity(self):
         p = prob(0.1, 0.2, 0.3, 0.4)
-        out = restrict(p.probs, indicator(set(range(4)), 4))
-        assert np.array_equal(out, p.probs)
+        out = restrict(p, indicator(set(range(4)), 4))
+        assert np.array_equal(out, p)
 
     def test_single_class_degenerate(self):
-        out = restrict(prob(0.5, 0.3, 0.2).probs, indicator({2}, 3))
+        out = restrict(prob(0.5, 0.3, 0.2), indicator({2}, 3))
         assert out.tolist() == [0.0, 0.0, 1.0]
 
     def test_zero_mass(self):
         with pytest.raises(ZeroMass):
-            restrict(prob(0.5, 0.5, 0.0).probs, indicator({2}, 3))
+            restrict(prob(0.5, 0.5, 0.0), indicator({2}, 3))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ZeroMass):
-            restrict(prob(0.5, 0.5, 0.0).probs, np.zeros(3, dtype=bool))
+            restrict(prob(0.5, 0.5, 0.0), np.zeros(3, dtype=bool))
 
     def test_mask_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
-            restrict(prob(0.5, 0.3, 0.2).probs, indicator({0}, 4))
+            restrict(prob(0.5, 0.3, 0.2), indicator({0}, 4))
+
+
+def lone_row_entropy(row):
+    """The sum a lone row gets on its own, the oracle for the batch."""
+    nz = row[row > 0]
+    return -np.sum(nz * np.log(nz))
 
 
 class TestEntropy:
@@ -144,8 +151,9 @@ class TestEntropy:
             support = rng.random((n, K)) < rng.random((n, 1))
             support[rng.integers(0, n)] = rng.random() < 0.5  # an empty or full row
             batch = np.where(support, probs, 0.0)
-            rows = np.array([entropy(row) for row in batch])
+            rows = np.array([lone_row_entropy(row) for row in batch])
             assert entropy(batch).tobytes() == rows.tobytes()
+            assert [entropy(row) for row in batch] == rows.tolist()
 
 
 def selected(classes, probs):
@@ -183,24 +191,25 @@ def prob_and_candidates(draw, max_k=16):
     raw = draw(
         st.lists(st.floats(1e-6, 1.0), min_size=k, max_size=k)
     )
-    p = ProbVector(np.array(raw) / np.sum(raw))
+    p = prob(*(np.array(raw) / np.sum(raw)))
+    am = int(np.argmax(p))
     size = draw(st.integers(1, k))
-    others = [c for c in range(k) if c != p.argmax()]
+    others = [c for c in range(k) if c != am]
     extra = draw(st.permutations(others))[: size - 1]
-    return p, indicator([p.argmax(), *extra], k)
+    return p, indicator([am, *extra], k)
 
 
 @given(prob_and_candidates())
 @settings(max_examples=200)
 def test_selection_properties(case):
     p, mask = case
-    out = restrict(p.probs, mask)
+    out = restrict(p, mask)
     assert abs(out.sum() - 1.0) <= 1e-9
     assert np.all(out >= 0)
     # Support stays inside the mask.
     assert np.all((out > 0) <= mask)
     # Argmax preserved when selected.
-    assert np.argmax(out) == p.argmax()
+    assert np.argmax(out) == np.argmax(p)
     # Entropy never increases in the proven regime.
     if mask.sum() <= 11:
         assert entropy(out) <= entropy(p) + 1e-12

@@ -5,18 +5,19 @@ import pytest
 
 from soclabel.errors import EmptyBatch, ShapeMismatch
 from soclabel.losses import (
-    LossReport,
     cross_entropy,
-    cross_entropy_grad,
-    cross_entropy_per_sample,
     cross_entropy_terms,
     fixmatch_weights,
     log_softmax,
     one_hot,
     softmax,
-    total_loss,
 )
 from soclabel.verify import suite_losses
+
+
+def ce_grad(target, logits):
+    """The gradient half of cross_entropy_terms."""
+    return cross_entropy_terms(target, logits)[1]
 
 
 def supervised_loss(logits, labels):
@@ -28,7 +29,7 @@ def baseline_fixmatch_loss(probs_weak, strong_logits, tau):
     """The training step's consistency term on the FixMatch arm: hard
     pseudo-labels, thresholded, averaged over the full batch."""
     hard = one_hot(probs_weak.argmax(axis=1), probs_weak.shape[1])
-    per_sample = cross_entropy_per_sample(hard, strong_logits)
+    per_sample, _ = cross_entropy_terms(hard, strong_logits)
     return float((per_sample * fixmatch_weights(probs_weak, tau)).mean())
 
 
@@ -66,9 +67,7 @@ class TestGradient:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=6)
         target = rng.dirichlet(np.ones(6))
-        assert np.allclose(
-            cross_entropy_grad(target, logits), softmax(logits) - target
-        )
+        assert np.allclose(ce_grad(target, logits), softmax(logits) - target)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -77,7 +76,7 @@ class TestGradient:
             K = int(rng.integers(3, 12))
             logits = rng.normal(scale=3, size=K)
             target = rng.dirichlet(np.ones(K))
-            grad = cross_entropy_grad(target, logits)
+            grad = ce_grad(target, logits)
             for c in range(K):
                 up, down = logits.copy(), logits.copy()
                 up[c] += step
@@ -90,7 +89,8 @@ class TestGradient:
 
 class TestCrossEntropyTerms:
     def test_bits_equal_the_two_functions(self):
-        # Soft, one-hot and all-zero targets, saturated logits included.
+        # Against the loss and gradient formulas written out here, on soft,
+        # one-hot and all-zero targets, saturated logits included.
         rng = np.random.default_rng(2)
         for scale in (0.1, 3.0, 300.0):
             logits = rng.normal(scale=scale, size=(40, 32))
@@ -98,8 +98,9 @@ class TestCrossEntropyTerms:
                            one_hot(rng.integers(0, 32, size=40), 32),
                            np.zeros((40, 32))):
                 per_sample, grad = cross_entropy_terms(target, logits)
-                assert np.array_equal(per_sample, cross_entropy_per_sample(target, logits))
-                assert np.array_equal(grad, cross_entropy_grad(target, logits))
+                assert np.array_equal(
+                    per_sample, -np.sum(target * log_softmax(logits), axis=-1))
+                assert np.array_equal(grad, softmax(logits) - target)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -114,7 +115,7 @@ class TestSupervisedLoss:
 
     def test_single_example_matches_cross_entropy(self):
         logits = np.array([0.2, -1.0, 0.7])
-        per_sample = cross_entropy_per_sample(one_hot([2], 3), logits[None, :])
+        per_sample, _ = cross_entropy_terms(one_hot([2], 3), logits[None, :])
         assert per_sample.shape == (1,)
         assert supervised_loss(logits[None, :], np.array([2])) == per_sample[0]
         assert per_sample[0] == pytest.approx(
@@ -202,25 +203,6 @@ class TestBaselineLoss:
         assert baseline_fixmatch_loss(probs, strong, tau) == pytest.approx(total / 20)
 
 
-class TestTotalLoss:
-    def test_lambda_zero(self):
-        assert total_loss(1.3, 9.9, 0.0) == 1.3
-
-    def test_lambda_one(self):
-        assert total_loss(1.3, 0.7, 1.0) == pytest.approx(2.0)
-
-    def test_linearity(self):
-        for lam in (0.25, 0.5, 2.0):
-            assert total_loss(1.0, 3.0, lam) == pytest.approx(1.0 + 3.0 * lam)
-
-    def test_report_invariant(self):
-        with pytest.raises(ValueError):
-            LossReport(sup=1.0, cos=1.0, total=3.0, lambda_cos=1.0)
-        with pytest.raises(ValueError):
-            LossReport(sup=float("nan"), cos=0.0, total=float("nan"), lambda_cos=1.0)
-        LossReport(sup=1.0, cos=2.0, total=3.0, lambda_cos=1.0)
-
-
 class TestGradientCheckSuite:
     """verify.suite_losses: a normwise finite-difference check that passes
     the analytic gradient on every seed and fails a wrong one."""
@@ -233,13 +215,13 @@ class TestGradientCheckSuite:
 
     def test_scaled_gradient_fails(self):
         res = suite_losses(trials=50, seed=0,
-                           grad_fn=lambda t, z: cross_entropy_grad(t, z) * (1 + 1e-4))
+                           grad_fn=lambda t, z: ce_grad(t, z) * (1 + 1e-4))
         assert res.passed == 0
         assert min(res.failures) > 9e-5
 
     def test_one_flipped_component_fails(self):
         def flipped(target, logits):
-            grad = cross_entropy_grad(target, logits)
+            grad = ce_grad(target, logits)
             grad[0] = -grad[0]
             return grad
 

@@ -159,15 +159,14 @@ class TestTrainingLoop:
             for t in range(cfg.iters):
                 li = state.rng_data.choice(n_lab, cfg.batch_size, replace=False)
                 ui = state.rng_data.choice(n_ulb, cfg.mu * cfg.batch_size, replace=False)
-                rep = soc_step(
+                totals.append(soc_step(
                     state,
                     (ds.x_labeled[li], ds.y_labeled[li]),
                     (ui, ds.x_unlabeled[ui]),
                     cfg,
                     in_warmup=t < w,
                     lr=cosine_lr(cfg, t),
-                )
-                totals.append(rep.total)
+                ))
             reports[name] = totals
         diffs = np.abs(np.array(reports["soc"]) - np.array(reports["hard"]))
         assert diffs.max() <= 1e-9

@@ -41,7 +41,7 @@ class TestObserveBatch:
         ledger, bank = make()
         observe(ledger, bank, [(A, 3)])
         bt = observe(ledger, bank, [(A, 5)])
-        assert bt.pairs.tolist() == [[3, 5]]
+        assert bt.tolist() == [[3, 5]]
         assert bank.last_pred[A] == 5
 
     def test_same_class_not_recorded(self):
@@ -139,8 +139,8 @@ class TestSnapshot:
         assert restored.window_size == ledger.window_size
         assert restored.version == ledger.version
         assert np.array_equal(restored.running_sum, ledger.running_sum)
-        assert [b.pairs.tolist() for b in restored.window] == [
-            b.pairs.tolist() for b in ledger.window
+        assert [b.tolist() for b in restored.window] == [
+            b.tolist() for b in ledger.window
         ]
 
     def test_seeded_ledger_bytes(self):
@@ -255,19 +255,34 @@ class TestObserveOracle:
             bt = ledger.observe_batch(bank, ids, preds)
             events = reference_observe(ref_bank, ref_window, window, ref_sum,
                                        list(zip(ids.tolist(), preds.tolist())))
-            assert [tuple(e) for e in bt.pairs.tolist()] == events
+            assert [tuple(e) for e in bt.tolist()] == events
             assert np.array_equal(ledger.running_sum, ref_sum)
-        assert [b.pairs.tolist() for b in ledger.window] == [
+        assert [b.tolist() for b in ledger.window] == [
             [list(e) for e in events] for events in ref_window
         ]
         expected = np.full(n_ids, -1)
         expected[list(ref_bank)] = list(ref_bank.values())
         assert bank.last_pred.tolist() == expected.tolist()
 
+    def test_events_are_read_only(self):
+        # Eviction subtracts a batch's events again, so a write into one
+        # would leave the running counts out of step with the window.
+        ledger, bank = make(window=2)
+        observe(ledger, bank, [(A, 1), (B, 2)])
+        bt = observe(ledger, bank, [(A, 3), (B, 4)])
+        assert bt.dtype == np.int64 and bt.shape == (2, 2)
+        restored = TransitionLedger.from_json(ledger.to_json())
+        for events in (bt, ledger.window[-1], restored.window[-1]):
+            with pytest.raises(ValueError, match="read-only"):
+                events[0, 1] = 5
+        observe(ledger, bank, [(A, 0)])
+        observe(ledger, bank, [(B, 0)])
+        assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
+
     def test_repeated_id_moves_within_the_batch(self):
         ledger, bank = make()
         bt = observe(ledger, bank, [(A, 1), (B, 2), (A, 3), (A, 3), (A, 0)])
-        assert bt.pairs.tolist() == [[1, 3], [3, 0]]
+        assert bt.tolist() == [[1, 3], [3, 0]]
         assert bank.last_pred[[A, B]].tolist() == [0, 2]
 
     def test_id_outside_bank_rejected(self):
@@ -340,7 +355,6 @@ class TestSnapshotFuzz:
         assert type(ledger.version) is int
         assert len(ledger.window) <= ledger.window_size
         for batch in ledger.window:
-            pairs = batch.pairs
-            assert np.all((pairs >= 0) & (pairs < K))
-            assert np.all(pairs[:, 0] != pairs[:, 1])
+            assert np.all((batch >= 0) & (batch < K))
+            assert np.all(batch[:, 0] != batch[:, 1])
         assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
