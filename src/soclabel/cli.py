@@ -28,6 +28,7 @@ from .sim import (
     entropy_vs_k,
     final_score,
     generate_dataset,
+    logit_blocks,
     run,
     write_metrics_csv,
 )
@@ -193,10 +194,22 @@ def _open_out(path: str, mode: str = "w"):
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _check_out(path: str) -> None:
+    """ConfigError unless path can be opened for writing, checked before
+    the work that writes it and without leaving a file: append mode keeps
+    an existing one, and a new one is removed again."""
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_select(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
     seed = _default_seed(args)
+    if args.out:
+        _check_out(args.out)
     records, final_ids, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     policy = _policy_from_args(args, n_classes)
@@ -282,13 +295,8 @@ def cmd_sim(args) -> int:
         sim_raw["iters"] = args.iters
 
     config, spec = config_from_dict(raw)
-    # Checked before training, not after it, and without leaving a file:
-    # append mode keeps an existing one, and a new one is removed again.
     for path in filter(None, (args.out, args.pairs_out)):
-        existed = os.path.lexists(path)
-        _open_out(path, "a").close()
-        if not existed:
-            os.remove(path)
+        _check_out(path)
     dataset = generate_dataset(spec)
     state = run(config, dataset)
     write_metrics_csv(state.history, args.out)
@@ -305,14 +313,22 @@ def cmd_sim(args) -> int:
 
 def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     """Per-sample (ground-truth mass retained, selected entropy) rows from
-    the final model; the raw data behind density-plot comparisons."""
-    probs = softmax(state.model.logits(dataset.x_unlabeled))
-    targets, _ = build_targets(probs, config, state.ledger)
-    zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled)
+    the final model; the raw data behind density-plot comparisons.
+
+    Rows are taken EVAL_BLOCK at a time. Each row's target is the same as
+    in one pass over the whole set: select_targets gives each k the same
+    partition whichever other ks share the call, and every other step
+    works row by row.
+    """
     with _open_out(path) as fh:
         fh.write("zobj1,entropy\n")
-        for z, h in zip(zobj1, lb.entropy(targets).tolist()):
-            fh.write(f"{z},{h}\n")
+        for start, logits in logit_blocks(state.model, dataset.x_unlabeled):
+            probs = softmax(logits)
+            targets, _ = build_targets(probs, config, state.ledger)
+            y_true = dataset.y_unlabeled[start:start + len(probs)]
+            zobj1 = lb.obj1_score(probs, targets, y_true)
+            for z, h in zip(zobj1, lb.entropy(targets).tolist()):
+                fh.write(f"{z},{h}\n")
 
 
 def cmd_verify(args) -> int:

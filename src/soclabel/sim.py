@@ -183,7 +183,9 @@ class LinearModel:
         return cls(np.zeros((n_classes, dim)), np.zeros(n_classes))
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(x) @ self.weights.T + self.bias
+        out = np.atleast_2d(x) @ self.weights.T
+        out += self.bias
+        return out
 
 
 @dataclass
@@ -344,16 +346,38 @@ def soc_step(
     return total
 
 
+# Whole-set passes (evaluation, the pairs file) take the logits and softmax
+# of this many rows at a time, so their memory does not grow with the set.
+# Each row's values are the same bits as in a whole-set pass: the softmax
+# reduces each row of a C-contiguous block on its own, and the tests hold
+# the logits product to a whole-array oracle.
+EVAL_BLOCK = 512
+
+
+def logit_blocks(model: LinearModel, x: np.ndarray):
+    """(start, model.logits(x[start:start + EVAL_BLOCK])) for each block of x."""
+    for start in range(0, x.shape[0], EVAL_BLOCK):
+        yield start, model.logits(x[start:start + EVAL_BLOCK])
+
+
 def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow:
     model = state.model
-    test_top1 = float(
-        (model.logits(dataset.x_test).argmax(axis=1) == dataset.y_test).mean()
-    )
-    probs_all = softmax(model.logits(dataset.x_unlabeled))
-    pl_acc = float((probs_all.argmax(axis=1) == dataset.y_unlabeled).mean())
+    test_pred = np.empty(dataset.y_test.size, dtype=np.intp)
+    for start, logits in logit_blocks(model, dataset.x_test):
+        test_pred[start:start + len(logits)] = logits.argmax(axis=1)
+    test_top1 = float((test_pred == dataset.y_test).mean())
 
+    # Every row's argmax, and the probabilities of the first n_eval rows.
     n_eval = min(config.eval_subset, dataset.x_unlabeled.shape[0])
-    probs = probs_all[:n_eval]
+    pred = np.empty(dataset.y_unlabeled.size, dtype=np.intp)
+    probs = np.empty((n_eval, dataset.n_classes))
+    for start, logits in logit_blocks(model, dataset.x_unlabeled):
+        block = softmax(logits)
+        pred[start:start + len(block)] = block.argmax(axis=1)
+        if start < n_eval:
+            probs[start:start + len(block)] = block[:n_eval - start]
+    pl_acc = float((pred == dataset.y_unlabeled).mean())
+
     y_true = dataset.y_unlabeled[:n_eval]
     targets, ks = build_targets(probs, config, state.ledger)
     ent_sel = lb.entropy(targets)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclabel import cli
+from soclabel import cli, sim
 from soclabel import labels as lb
 from soclabel.cli import (
     EXIT_DATA,
@@ -27,6 +27,8 @@ from soclabel.cli import (
     main,
 )
 from soclabel.errors import SchemaError
+from soclabel.losses import softmax
+from soclabel.sim import EVAL_BLOCK
 
 DATA = Path(__file__).parent / "data"
 TOY_LOG = str(DATA / "toy_log.ndjson")
@@ -454,13 +456,13 @@ class TestCluster:
 
 
 class TestSim:
-    def small_args(self, tmp_path, *extra):
+    def small_args(self, tmp_path, *extra, unlabeled_per_class=20):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "dataset": {
                 "n_super": 2, "fine_per_super": 2, "dim": 8,
                 "intra_spread": 1.0, "inter_spread": 4.0,
-                "labels_per_class": 8, "unlabeled_per_class": 20,
+                "labels_per_class": 8, "unlabeled_per_class": unlabeled_per_class,
                 "test_per_class": 10, "seed": 0,
             },
             "sim": {
@@ -489,6 +491,32 @@ class TestSim:
         lines = pairs.read_text().splitlines()
         assert lines[0] == "zobj1,entropy"
         assert len(lines) == 1 + 4 * 20
+
+    def test_pairs_out_equals_whole_array_pass(self, tmp_path, monkeypatch):
+        # 4 classes x 150 = 600 unlabeled rows: one full block and a short
+        # one. The full block mixes several ks in one select_targets call.
+        assert (4 * 150) % EVAL_BLOCK
+        runs = []
+
+        def keep_state(config, dataset):
+            state = sim.run(config, dataset)
+            runs.append((config, dataset, state))
+            return state
+
+        monkeypatch.setattr(cli, "run", keep_state)
+        pairs = tmp_path / "pairs.csv"
+        args, _ = self.small_args(tmp_path, "--pairs-out", str(pairs), unlabeled_per_class=150)
+        assert main(args) == EXIT_OK
+        (config, ds, state), = runs
+        assert config.baseline == "soc"
+        model = state.model
+        probs = softmax(ds.x_unlabeled @ model.weights.T + model.bias)
+        targets, ks = sim.build_targets(probs, config, state.ledger)
+        assert len(set(ks[:EVAL_BLOCK].tolist())) > 1
+        zobj1 = lb.obj1_score(probs, targets, ds.y_unlabeled)
+        expected = "zobj1,entropy\n" + "".join(
+            f"{z},{h}\n" for z, h in zip(zobj1, lb.entropy(targets).tolist()))
+        assert pairs.read_bytes() == expected.encode()
 
     def test_config_k_policy_holds_without_policy_flag(self, tmp_path):
         config = tmp_path / "fixed.json"
@@ -566,6 +594,21 @@ class TestOutputPath:
     def test_select_out(self, tmp_path, capsys):
         for path in self.bad_paths(tmp_path):
             self.assert_cannot_write(["select", TOY_LOG, "--out", path], path, capsys)
+
+    def test_select_checks_out_before_reading_the_log(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_read_log", no_training)
+        for path in self.bad_paths(tmp_path):
+            self.assert_cannot_write(["select", TOY_LOG, "--out", path], path, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_select_bad_log_keeps_existing_out(self, tmp_path, capsys):
+        log, out = tmp_path / "bad.ndjson", tmp_path / "out.ndjson"
+        log.write_text("{\n")
+        out.write_text("kept\n")
+        assert main(["select", str(log), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: line 1: malformed JSON")
+        assert out.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [log, out]
 
     def test_sim_out_and_pairs_out(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "run", no_training)

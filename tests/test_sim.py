@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,16 +8,20 @@ import pytest
 from soclabel.clustering import select_targets
 from soclabel.errors import ConfigError
 from soclabel.kselect import KPolicy
-from soclabel.labels import entropy
+from soclabel.labels import entropy, obj1_score, obj2_score
 from soclabel.losses import softmax
 from soclabel.sim import (
+    EVAL_BLOCK,
     Dataset,
+    MetricsRow,
     SimConfig,
     SyntheticDatasetSpec,
     augment,
+    build_targets,
     config_from_dict,
     cosine_lr,
     entropy_vs_k,
+    evaluate,
     final_score,
     generate_dataset,
     init_state,
@@ -247,6 +253,70 @@ class TestTrainingLoop:
         state = run(small_config(), ds)
         tail = [r.test_top1 for r in state.history[-3:]]
         assert final_score(state.history) == pytest.approx(np.mean(tail))
+
+
+def whole_array_evaluate(state, config, ds) -> MetricsRow:
+    """evaluate as one pass over each whole set: the reference the blocked
+    passes must match bit for bit."""
+    model = state.model
+    logits = lambda x: x @ model.weights.T + model.bias
+    test_top1 = float((logits(ds.x_test).argmax(axis=1) == ds.y_test).mean())
+    probs_all = softmax(logits(ds.x_unlabeled))
+    pl_acc = float((probs_all.argmax(axis=1) == ds.y_unlabeled).mean())
+    n_eval = min(config.eval_subset, ds.x_unlabeled.shape[0])
+    probs = probs_all[:n_eval]
+    targets, ks = build_targets(probs, config, state.ledger)
+    return MetricsRow(
+        iter=state.iteration,
+        test_top1=test_top1,
+        pl_acc=pl_acc,
+        mean_entropy_sel=float(entropy(targets).mean()),
+        mean_entropy_raw=float(entropy(probs).mean()),
+        mean_zobj1=float(obj1_score(probs, targets, ds.y_unlabeled[:n_eval]).mean()),
+        mean_zobj2=float(obj2_score(targets).mean()),
+        k_mean=float(ks.mean()),
+    )
+
+
+class TestBlockedEvaluate:
+    # 8 classes x 165 = 1320 unlabeled rows and 8 x 70 = 560 test rows:
+    # neither is a multiple of the block, so each set ends in a short one.
+    SPEC = dataclasses.replace(SMALL_SPEC, unlabeled_per_class=165, test_per_class=70)
+
+    def test_every_field_equals_the_whole_array_pass(self):
+        ds = generate_dataset(self.SPEC)
+        n_ulb = ds.x_unlabeled.shape[0]
+        assert n_ulb % EVAL_BLOCK and ds.x_test.shape[0] % EVAL_BLOCK
+        subsets = (100, EVAL_BLOCK, EVAL_BLOCK + 188, n_ulb + 50)
+        for baseline in ("soc", "fixmatch"):
+            config = small_config(baseline=baseline, iters=150, eval_every=150)
+            state = run(config, ds)
+            assert state.ledger.version > 0
+            for subset in subsets:
+                cfg = dataclasses.replace(config, eval_subset=subset)
+                got = evaluate(state, cfg, ds)
+                assert dataclasses.asdict(got) == dataclasses.asdict(
+                    whole_array_evaluate(state, cfg, ds)), (baseline, subset)
+
+    def test_memory_does_not_grow_with_the_unlabeled_set(self):
+        # K=200 in 40 super-classes of 5. A whole-set pass held several
+        # |unlabeled| x K arrays: 19 MB at 20 samples per class, 96 MB at 100.
+        peaks = []
+        for per_class in (20, 100):
+            spec = SyntheticDatasetSpec(n_super=40, fine_per_super=5,
+                                        unlabeled_per_class=per_class, test_per_class=10)
+            ds = generate_dataset(spec)
+            config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes))
+            state = init_state(config, ds)
+            rng = np.random.default_rng(0)
+            state.model.weights[:] = rng.normal(size=state.model.weights.shape)
+            tracemalloc.start()
+            try:
+                evaluate(state, config, ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2_000_000, peaks
 
 
 class TestConfigParsing:
