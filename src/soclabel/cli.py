@@ -67,8 +67,13 @@ def _parse_record(line: str, lineno: int, n_classes, seen: set):
     if not isinstance(rec, dict) or rec.get("schema") != LOG_SCHEMA:
         raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
     try:
-        sample_id = str(rec["id"])
-        step = int(rec["step"])
+        sample_id, step = rec["id"], rec["step"]
+        # str() would make one sample of 5 and "5", and int() would take
+        # 1.7, "0" and true as steps.
+        if type(sample_id) is not str:
+            raise TypeError(f"id must be a string, got {sample_id!r}")
+        if type(step) is not int:  # a bool is an int to Python
+            raise TypeError(f"step must be an integer, got {step!r}")
         probs = np.asarray(rec["probs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
@@ -351,6 +356,11 @@ def cmd_verify(args) -> int:
 def cmd_entropy_sweep(args) -> int:
     seed = _default_seed(args)
     config, spec = config_from_dict(_load_config(args.config))
+    # Only the soc arm tracks class transitions: any other run's ledger
+    # stays empty, and every k would cluster a cold similarity matrix.
+    if config.baseline != "soc":
+        raise ConfigError(
+            f"entropy-sweep needs baseline 'soc', got {config.baseline!r}")
     # Checked here, not by the sweep after the run: training takes seconds.
     for k in args.ks:
         if not 2 <= k <= spec.n_classes:

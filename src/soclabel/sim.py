@@ -282,8 +282,8 @@ def soc_step(
     lr: float | None = None,
 ) -> float:
     """One training iteration: weak/strong forward passes, transition
-    tracking, target selection, losses and an SGD-momentum update. Returns
-    the total loss, sup + lambda_cos * cos."""
+    tracking (soc only), target selection, losses and an SGD-momentum
+    update. Returns the total loss, sup + lambda_cos * cos."""
     x_lab, y_lab = labeled
     ulb_ids, x_ulb = unlabeled
     B = x_lab.shape[0]
@@ -303,11 +303,13 @@ def soc_step(
     grad_lab /= B
 
     # Weak/strong branches run (and consume augmentation randomness) in
-    # every arm so trajectories stay comparable across baselines.
+    # every arm so trajectories stay comparable across baselines. Only soc
+    # reads the transition ledger (build_targets clusters on it), so only
+    # soc feeds it, warmup included; the other arms leave it at version 0.
     xw_ulb = aug(x_ulb, "weak")
     probs_weak = softmax(model.logits(xw_ulb))
-    p_hat = probs_weak.argmax(axis=1)
-    state.ledger.observe_batch(state.bank, ulb_ids, p_hat)
+    if config.baseline == "soc":
+        state.ledger.observe_batch(state.bank, ulb_ids, probs_weak.argmax(axis=1))
     xs_ulb = aug(x_ulb, "strong")
     strong_logits = model.logits(xs_ulb)
 
@@ -451,19 +453,23 @@ def entropy_vs_k(
     subset: int | None = None,
 ) -> list[float]:
     """Mean selected-label entropy over the unlabeled set for each fixed k,
-    against one frozen ledger. One select_targets call clusters every k,
-    on one copy of the rows per k."""
+    against one frozen ledger. The rows are taken EVAL_BLOCK at a time, and
+    one select_targets call per block clusters every k, on one copy of the
+    block per k; each k gets the same partition in every call."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
-    probs = softmax(model.logits(x))
-    pnorm = probs / probs.sum(axis=1, keepdims=True)
-    n = len(pnorm)
-    targets, _ = select_targets(
-        np.tile(pnorm, (len(ks), 1)), ledger.similarity_matrix(), np.repeat(ks, n),
-        seed=seed, max_iter=max_iter,
-    )
-    entropies = lb.entropy(targets)
-    # Each k's mean over its own contiguous slice, as a lone k's run takes it.
-    return [float(np.mean(entropies[r * n:(r + 1) * n])) for r in range(len(ks))]
+    sim = ledger.similarity_matrix()
+    entropies = np.empty((len(ks), x.shape[0]))
+    for start, logits in logit_blocks(model, x):
+        probs = softmax(logits)
+        pnorm = probs / probs.sum(axis=1, keepdims=True)
+        n = len(pnorm)
+        targets, _ = select_targets(
+            np.tile(pnorm, (len(ks), 1)), sim, np.repeat(ks, n),
+            seed=seed, max_iter=max_iter,
+        )
+        entropies[:, start:start + n] = lb.entropy(targets).reshape(len(ks), n)
+    # Each k's mean over its own contiguous row, as a lone k's run takes it.
+    return [float(np.mean(row)) for row in entropies]
 
 
 # ---------------------------------------------------------------------------

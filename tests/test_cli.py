@@ -149,13 +149,29 @@ class TestLogErrors:
             '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [1' + "0" * 400
             + ", 0]}",
         )
-        for bad in bad_lines:
+        # An id must be a JSON string and a step a JSON integer: int() would
+        # take 1.7, true and "0", and str() would merge 5 with "5".
+        wrong_types = {
+            '"id": 5, "step": 0': "id must be a string, got 5",
+            '"id": null, "step": 0': "id must be a string, got None",
+            '"id": "b", "step": 1.7': "step must be an integer, got 1.7",
+            '"id": "b", "step": 1.0': "step must be an integer, got 1.0",
+            '"id": "b", "step": true': "step must be an integer, got True",
+            '"id": "b", "step": "0"': "step must be an integer, got '0'",
+        }
+        cases = [(bad, None) for bad in bad_lines] + [
+            ('{"schema": "soc-log-v1", %s, "probs": [1, 0]}' % fields, message)
+            for fields, message in wrong_types.items()]
+        for bad, message in cases:
             log.write_text(
                 '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": [1.0, 0.0]}\n'
                 + bad + "\n"
             )
             assert main(["select", str(log)]) == EXIT_DATA
-            assert "line 2" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "line 2" in err
+            if message:
+                assert err == f"data error: line 2: bad record fields ({message})\n"
 
     def test_line_not_utf8_reports_number(self, tmp_path, capsys):
         # The first undecodable line is named, whether it is the first
@@ -245,8 +261,11 @@ def reference_read_log(path: str):
             if rec.get("schema") != LOG_SCHEMA:
                 raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
             try:
-                sample_id = str(rec["id"])
-                step = int(rec["step"])
+                sample_id, step = rec["id"], rec["step"]
+                if type(sample_id) is not str:
+                    raise TypeError(f"id must be a string, got {sample_id!r}")
+                if type(step) is not int:
+                    raise TypeError(f"step must be an integer, got {step!r}")
                 probs = np.asarray(rec["probs"], dtype=float)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
@@ -276,8 +295,8 @@ def reference_read_log(path: str):
 
 
 PROB_FAULTS = ("nan", "inf", "-inf", "negative", "zero_row", "overflow", "nested")
-LINE_FAULTS = ("string_probs", "missing_field", "k_mismatch", "duplicate", "schema",
-               "malformed")
+LINE_FAULTS = ("string_probs", "missing_field", "field_types", "k_mismatch", "duplicate",
+               "schema", "malformed")
 
 
 def valid_rows(rng, n, K):
@@ -315,6 +334,10 @@ def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
         rec["probs"] = ["abc", "0.5", ["x"] * K][j % 3]
     elif kind == "missing_field":
         del rec[("schema", "id", "step", "probs")[j % 4]]
+    elif kind == "field_types":
+        key, value = (("id", 5), ("id", None), ("step", 1.5), ("step", 1.0),
+                      ("step", True), ("step", "0"))[j % 6]
+        rec[key] = value
     elif kind == "k_mismatch":
         rec["probs"] = probs + [0.0] if j % 2 else probs[:-1]
     elif kind == "duplicate" and len(keys) > 1:
@@ -631,6 +654,18 @@ class TestEntropySweep:
         with pytest.raises(SystemExit) as exc:
             main(["entropy-sweep", "--ks", "2,x"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_non_soc_config_exits_before_training(self, tmp_path, monkeypatch, capsys):
+        # Only soc tracks class transitions; another arm's ledger stays empty.
+        monkeypatch.setattr(cli, "run", no_training)
+        config = tmp_path / "fixmatch.json"
+        for baseline in ("fixmatch", "soft"):
+            config.write_text(json.dumps({"sim": {"baseline": baseline}}))
+            assert main(["entropy-sweep", "--config", str(config)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"config error: entropy-sweep needs baseline 'soc', got '{baseline}'\n")
 
     def test_k_out_of_range_exits_before_training(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run", no_training)

@@ -201,21 +201,40 @@ class TestTrainingLoop:
         )
         assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
 
-    def test_pinned_soc_trajectory(self, tmp_path):
-        # Without warmup, k-medoids sees partial windows of 3, 5, 6 and 7
-        # batches before the window fills.
-        # A change to either digest is a change of behaviour.
+    @staticmethod
+    def pinned_run_digests(baseline, tmp_path):
+        """sha256 of the metrics CSV and of the final weights of a 60-step
+        run on the default spec, window 8, no warmup, seed 3."""
         spec = SyntheticDatasetSpec()
         config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes), window=8,
-                           iters=60, eval_every=10, warmup_epochs=0, seed=3)
+                           iters=60, eval_every=10, warmup_epochs=0, seed=3,
+                           baseline=baseline)
         state = run(config, generate_dataset(spec))
         csv = tmp_path / "metrics.csv"
         write_metrics_csv(state.history, csv)
         weights = state.model.weights.tobytes() + state.model.bias.tobytes()
-        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "2a2bc751adb057c7edc647170e92e04f3fa62885a97eb94ab09e65f890c38ed6")
-        assert hashlib.sha256(weights).hexdigest() == (
+        return (hashlib.sha256(csv.read_bytes()).hexdigest(),
+                hashlib.sha256(weights).hexdigest())
+
+    def test_pinned_soc_trajectory(self, tmp_path):
+        # Without warmup, k-medoids sees partial windows of 3, 5, 6 and 7
+        # batches before the window fills.
+        # A change to either digest is a change of behaviour.
+        assert self.pinned_run_digests("soc", tmp_path) == (
+            "2a2bc751adb057c7edc647170e92e04f3fa62885a97eb94ab09e65f890c38ed6",
             "0d8462e2557ba21c00e062fc069eefb48be56b61287a45464d64e14138291b18")
+
+    def test_pinned_fixmatch_trajectory(self, tmp_path):
+        # The baselines read no transitions; their runs must not move when
+        # the soc arm's tracking or clustering does.
+        assert self.pinned_run_digests("fixmatch", tmp_path) == (
+            "709ec9c6ea068fda5c3ac9cea5c7602d7e35ef5f62d2a8b04e8b8929460749df",
+            "e1e2f65a6ed16a9ad961c314e9d41da9d57df677008e335d6f23484a2ef00487")
+
+    def test_pinned_soft_trajectory(self, tmp_path):
+        assert self.pinned_run_digests("soft", tmp_path) == (
+            "25f81cdc27d42fbdf53f42b0be5b288b51b46399fc0e20cb6234f97190418ee5",
+            "2e28ec90997e63dec9b334781c5bac6a68d41596ff55c28bf4ea725eba94622e")
 
     def test_pinned_soc_trajectory_k200(self, tmp_path):
         # K=200 in 40 super-classes of 5, the class count of Semi-Aves and
@@ -291,20 +310,26 @@ class TestBlockedEvaluate:
         for baseline in ("soc", "fixmatch"):
             config = small_config(baseline=baseline, iters=150, eval_every=150)
             state = run(config, ds)
-            assert state.ledger.version > 0
+            # Only soc tracks transitions; fixmatch leaves the ledger cold.
+            if baseline == "soc":
+                assert state.ledger.version > 0
+            else:
+                assert state.ledger.version == 0
             for subset in subsets:
                 cfg = dataclasses.replace(config, eval_subset=subset)
                 got = evaluate(state, cfg, ds)
                 assert dataclasses.asdict(got) == dataclasses.asdict(
                     whole_array_evaluate(state, cfg, ds)), (baseline, subset)
 
-    def test_memory_does_not_grow_with_the_unlabeled_set(self):
-        # K=200 in 40 super-classes of 5. A whole-set pass held several
-        # |unlabeled| x K arrays: 19 MB at 20 samples per class, 96 MB at 100.
+    @staticmethod
+    def k200_peaks(measure, per_class):
+        """tracemalloc peak of measure(state, config, ds) for each unlabeled
+        count per class, at K=200 in 40 super-classes of 5, with random
+        weights and a cold ledger."""
         peaks = []
-        for per_class in (20, 100):
+        for n in per_class:
             spec = SyntheticDatasetSpec(n_super=40, fine_per_super=5,
-                                        unlabeled_per_class=per_class, test_per_class=10)
+                                        unlabeled_per_class=n, test_per_class=10)
             ds = generate_dataset(spec)
             config = SimConfig(k_policy=KPolicy.linear(5.0, spec.n_classes))
             state = init_state(config, ds)
@@ -312,10 +337,39 @@ class TestBlockedEvaluate:
             state.model.weights[:] = rng.normal(size=state.model.weights.shape)
             tracemalloc.start()
             try:
-                evaluate(state, config, ds)
+                measure(state, config, ds)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    def test_memory_does_not_grow_with_the_unlabeled_set(self):
+        # A whole-set pass held several |unlabeled| x K arrays: 19 MB at 20
+        # samples per class, 96 MB at 100.
+        peaks = self.k200_peaks(evaluate, (20, 100))
+        assert peaks[1] - peaks[0] < 2_000_000, peaks
+
+    def test_entropy_vs_k_equals_the_whole_array_pass(self):
+        # Three blocks, the last one short, against one select_targets call
+        # on a copy of every row per k.
+        ds = generate_dataset(self.SPEC)
+        state = run(small_config(iters=150, eval_every=150), ds)
+        ks = (8, 2, 3, 2, 5)
+        pnorm = softmax(ds.x_unlabeled @ state.model.weights.T + state.model.bias)
+        pnorm /= pnorm.sum(axis=1, keepdims=True)
+        n = len(pnorm)
+        targets, _ = select_targets(np.tile(pnorm, (len(ks), 1)),
+                                    state.ledger.similarity_matrix(), np.repeat(ks, n), seed=4)
+        entropies = entropy(targets)
+        assert entropy_vs_k(state.model, ds, state.ledger, ks=ks, seed=4) == [
+            float(np.mean(entropies[r * n:(r + 1) * n])) for r in range(len(ks))]
+
+    def test_entropy_vs_k_memory_does_not_grow_with_the_unlabeled_set(self):
+        # Tiling the whole set once per k peaked at 114 MB at 20 samples per
+        # class and 227 MB at 40.
+        sweep = lambda state, config, ds: entropy_vs_k(
+            state.model, ds, state.ledger, ks=(2, 4, 8, 16, 32))
+        peaks = self.k200_peaks(sweep, (20, 40))
         assert peaks[1] - peaks[0] < 2_000_000, peaks
 
 
