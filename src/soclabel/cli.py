@@ -32,8 +32,8 @@ from .sim import (
     run,
     write_metrics_csv,
 )
-from .transitions import PredictionBank, TransitionLedger
-from .verify import run_suite
+from .transitions import TransitionLedger
+from .verify import SUITES, run_suite
 
 LOG_SCHEMA = "soc-log-v1"
 
@@ -156,16 +156,15 @@ def _read_log(path: str):
 def _replay(records, n_classes: int, window: int) -> TransitionLedger:
     """Feed the log's (step, id, argmax) records through the transition
     tracker in step order."""
-    ledger = TransitionLedger(n_classes, window)
-    # The bank's integer ids are the string ids in order of first appearance.
+    # The ledger's integer ids are the string ids in order of first appearance.
     index = {}
     by_step = {}
     for step, sample_id, pred in records:
         by_step.setdefault(step, []).append((index.setdefault(sample_id, len(index)), pred))
-    bank = PredictionBank(len(index))
+    ledger = TransitionLedger(n_classes, window, len(index))
     for step in sorted(by_step):
         ids, preds = zip(*by_step[step])
-        ledger.observe_batch(bank, ids, preds)
+        ledger.observe_batch(ids, preds)
     if len(by_step) < 2:
         print("warning: single-step log, similarity is cold (all zero)", file=sys.stderr)
     return ledger
@@ -340,11 +339,7 @@ def cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be positive, got {args.trials}")
     seed = _default_seed(args)
-    try:
-        results = run_suite(args.suite, trials=args.trials, seed=seed)
-    except KeyError:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+    results = run_suite(args.suite, trials=args.trials, seed=seed)
     failed = False
     for res in results:
         status = "pass" if res.ok else "FAIL"
@@ -423,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy_sweep)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")
-    p.add_argument("suite", help="lemma1|uniform_mass|theorem1|krange|cluster|ctt|losses|all")
+    p.add_argument("suite", choices=[*SUITES, "all"])
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)

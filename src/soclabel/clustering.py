@@ -158,7 +158,6 @@ def select_targets(
     sim: np.ndarray,
     ks: np.ndarray,
     seed: int,
-    max_iter: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cluster-restricted soft labels for a batch of normalized predictions.
 
@@ -179,7 +178,7 @@ def select_targets(
     which = (np.cumsum(present) - 1)[ks]
     # labels_by_k[u, c] is the cluster of class c in the u-th distinct k's
     # partition; same[u, a, c] is whether a and c share that cluster.
-    labels_by_k, _, _ = cluster_labels(sim, np.flatnonzero(present), seed, max_iter)
+    labels_by_k, _, _ = cluster_labels(sim, np.flatnonzero(present), seed)
     same = labels_by_k[:, :, None] == labels_by_k[:, None, :]
     mask = same[which, pnorm.argmax(axis=1)]
     return restrict(pnorm, mask), mask

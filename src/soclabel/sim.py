@@ -18,7 +18,7 @@ from .clustering import select_targets
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
-from .transitions import PredictionBank, TransitionLedger
+from .transitions import TransitionLedger
 
 
 def _check_field_types(obj, error) -> None:
@@ -154,7 +154,6 @@ class SimConfig:
     sigma_weak: float = 0.3
     sigma_strong: float = 1.0
     drop_frac: float = 0.25
-    cluster_max_iter: int = 100
 
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
@@ -165,11 +164,11 @@ class SimConfig:
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must be in [0, 1]")
         counts = (self.batch_size, self.mu, self.iters, self.window,
-                  self.eval_every, self.eval_subset, self.cluster_max_iter)
+                  self.eval_every, self.eval_subset)
         if min(counts) < 1:
             raise ConfigError(
-                "batch_size, mu, iters, window, eval_every, eval_subset and "
-                "cluster_max_iter must be positive"
+                "batch_size, mu, iters, window, eval_every and eval_subset "
+                "must be positive"
             )
 
 
@@ -212,7 +211,6 @@ class MetricsRow:
 class SimState:
     model: LinearModel
     ledger: TransitionLedger
-    bank: PredictionBank
     vel_w: np.ndarray
     vel_b: np.ndarray
     rng_data: np.random.Generator
@@ -225,8 +223,8 @@ def init_state(config: SimConfig, dataset: Dataset) -> SimState:
     model = LinearModel.zeros(dataset.n_classes, dataset.spec.dim)
     return SimState(
         model=model,
-        ledger=TransitionLedger(dataset.n_classes, config.window),
-        bank=PredictionBank(dataset.x_unlabeled.shape[0]),
+        ledger=TransitionLedger(dataset.n_classes, config.window,
+                                dataset.x_unlabeled.shape[0]),
         vel_w=np.zeros_like(model.weights),
         vel_b=np.zeros_like(model.bias),
         rng_data=np.random.default_rng([config.seed, 0]),
@@ -263,8 +261,7 @@ def build_targets(
     pnorm = probs / probs.sum(axis=1, keepdims=True)
     ks = select_k(config.k_policy, pnorm.max(axis=1))
     targets, _ = select_targets(
-        pnorm, ledger.similarity_matrix(), ks, seed=config.seed + ledger.version,
-        max_iter=config.cluster_max_iter,
+        pnorm, ledger.similarity_matrix(), ks, seed=config.seed + ledger.version
     )
     return targets, ks
 
@@ -309,7 +306,7 @@ def soc_step(
     xw_ulb = aug(x_ulb, "weak")
     probs_weak = softmax(model.logits(xw_ulb))
     if config.baseline == "soc":
-        state.ledger.observe_batch(state.bank, ulb_ids, probs_weak.argmax(axis=1))
+        state.ledger.observe_batch(ulb_ids, probs_weak.argmax(axis=1))
     xs_ulb = aug(x_ulb, "strong")
     strong_logits = model.logits(xs_ulb)
 
@@ -449,13 +446,12 @@ def entropy_vs_k(
     ledger: TransitionLedger,
     ks,
     seed: int = 0,
-    max_iter: int = 100,
     subset: int | None = None,
 ) -> list[float]:
     """Mean selected-label entropy over the unlabeled set for each fixed k,
-    against one frozen ledger. The rows are taken EVAL_BLOCK at a time, and
-    one select_targets call per block clusters every k, on one copy of the
-    block per k; each k gets the same partition in every call."""
+    against one frozen ledger. The rows are taken EVAL_BLOCK at a time, with
+    one select_targets call per k on each block, so memory does not grow
+    with len(ks); each k gets the same partition in every call."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
     sim = ledger.similarity_matrix()
     entropies = np.empty((len(ks), x.shape[0]))
@@ -463,11 +459,9 @@ def entropy_vs_k(
         probs = softmax(logits)
         pnorm = probs / probs.sum(axis=1, keepdims=True)
         n = len(pnorm)
-        targets, _ = select_targets(
-            np.tile(pnorm, (len(ks), 1)), sim, np.repeat(ks, n),
-            seed=seed, max_iter=max_iter,
-        )
-        entropies[:, start:start + n] = lb.entropy(targets).reshape(len(ks), n)
+        for row, k in enumerate(ks):
+            targets, _ = select_targets(pnorm, sim, np.full(n, k), seed=seed)
+            entropies[row, start:start + n] = lb.entropy(targets)
     # Each k's mean over its own contiguous row, as a lone k's run takes it.
     return [float(np.mean(row)) for row in entropies]
 

@@ -15,7 +15,7 @@ from . import labels as lb
 from .clustering import _assign, cluster_labels
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy, cross_entropy_terms
-from .transitions import PredictionBank, TransitionLedger, rebuild_running_sum
+from .transitions import TransitionLedger, rebuild_running_sum
 
 ENTROPY_TOL = 1e-12
 
@@ -148,10 +148,9 @@ def suite_ctt(trials: int = 100, seed: int = 0) -> SuiteResult:
     for _ in range(trials):
         K = int(rng.integers(3, 17))
         window = int(rng.choice([4, 16]))
-        ledger = TransitionLedger(K, window)
         n_batches = int(rng.integers(1, 51))
         n_ids = int(rng.integers(1, 33))
-        bank = PredictionBank(n_ids)
+        ledger = TransitionLedger(K, window, n_ids)
         version_ok = True
         for _ in range(n_batches):
             size = int(rng.integers(1, 65))
@@ -161,7 +160,7 @@ def suite_ctt(trials: int = 100, seed: int = 0) -> SuiteResult:
             ]
             before = ledger.version
             ids, preds = np.array(batch).T
-            ledger.observe_batch(bank, ids, preds)
+            ledger.observe_batch(ids, preds)
             version_ok &= ledger.version == before + 1
         exact = np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
         diag_zero = np.all(np.diag(ledger.running_sum) == 0)
@@ -282,12 +281,7 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
-        raise KeyError(name)
+    names = list(SUITES) if name == "all" else [name]
     out = []
     for n in names:
         kwargs = {"seed": seed}

@@ -574,6 +574,7 @@ class TestSim:
             {"sim": {"iters": 1.5}},
             {"sim": {"lr": "x"}},
             {"sim": {"lambda_cos": "x"}},
+            # A removed field is an unknown one.
             {"sim": {"cluster_max_iter": 1.5}},
             {"sim": {"window": 2.5}},
             {"sim": {"eval_every": 2.5}},
@@ -684,7 +685,11 @@ class TestVerify:
         assert capsys.readouterr().out == "uniform_mass: 50/50 pass\n"
 
     def test_unknown_suite(self, capsys):
-        assert main(["verify", "nonsense"]) == EXIT_USAGE
+        # argparse rejects it against the registered suites.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nonsense"])
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
 
     def test_trials_below_one_exits_usage(self, capsys):
         for suite, trials in (("lemma1", "-3"), ("cluster", "0")):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soclabel.clustering import _assign, cluster_labels, select_targets
 from soclabel.errors import InvalidK
-from soclabel.transitions import MAX_SIM, PredictionBank, TransitionLedger
+from soclabel.transitions import MAX_SIM, TransitionLedger
 
 
 def sim_with_blocks(blocks, n, strong=5, weak=1):
@@ -132,11 +132,11 @@ def reference_kmedoids(sim, k, seed, max_iter=100):
 def ledger_similarity(rng, K, window, n_batches):
     """A ledger's similarity after n_batches random batches in which each
     id's prediction moves inside one group of 4 classes."""
-    ledger, bank = TransitionLedger(K, window), PredictionBank(2 * K)
+    ledger = TransitionLedger(K, window, 2 * K)
     for _ in range(n_batches):
         ids = rng.integers(0, 2 * K, size=int(rng.integers(1, 9)))
         preds = (ids // 4 * 4 + rng.integers(0, 4, size=ids.size)) % K
-        ledger.observe_batch(bank, ids, preds)
+        ledger.observe_batch(ids, preds)
     return ledger.similarity_matrix()
 
 

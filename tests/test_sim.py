@@ -372,6 +372,16 @@ class TestBlockedEvaluate:
         peaks = self.k200_peaks(sweep, (20, 40))
         assert peaks[1] - peaks[0] < 2_000_000, peaks
 
+    def test_entropy_vs_k_memory_does_not_grow_with_the_number_of_ks(self):
+        # One select_targets call per block on a copy of the block per k
+        # peaked at 20.7 MB for 5 ks and 74.2 MB for 20.
+        peaks = [
+            self.k200_peaks(lambda state, config, ds: entropy_vs_k(
+                state.model, ds, state.ledger, ks=ks), (20,))[0]
+            for ks in ((2, 4, 8, 16, 32), tuple(range(2, 22)))
+        ]
+        assert abs(peaks[1] - peaks[0]) < 2_000_000, peaks
+
 
 class TestConfigParsing:
     def test_defaults(self):
