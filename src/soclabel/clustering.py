@@ -25,31 +25,6 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
 
 
-def _update_medoids(
-    sim_zero_diag: np.ndarray, assignment: np.ndarray, clusters: np.ndarray, real: np.ndarray
-) -> np.ndarray:
-    """Every cluster's member with the largest within-cluster similarity
-    sum, ties to the lowest index, for every partition at once.
-
-    assignment[c, r] is class c's cluster in partition r. clusters is
-    arange(width) for width = max(ks), and real[r, j] is j < ks[r].
-    Returns one row per partition: its ks[r] medoids sorted, then the
-    sentinel K in the columns past ks[r].
-    """
-    n, n_rows = assignment.shape
-    width = clusters.size
-    # Column r * width + j is cluster j of partition r; columns j >= ks[r]
-    # are empty.
-    member = (assignment[:, :, None] == clusters).reshape(n, n_rows * width)
-    # within[c, col] is class c's similarity sum over cluster col if c is
-    # in it, else -inf. argmax takes a column's first maximum: the lowest
-    # index.
-    within = np.where(member, sim_zero_diag @ member, -np.inf)
-    best = within.argmax(axis=0)
-    # The sentinel n sorts after every class.
-    return np.sort(np.where(real, best.reshape(n_rows, width), n), axis=1)
-
-
 def cluster_labels(
     sim: np.ndarray, ks, seed: int, max_iter: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,11 +54,13 @@ def cluster_labels(
     and every k is seeded from the same permutation. Each k's medoid row
     is padded to the largest k with a sentinel column of -inf similarity,
     which no argmax picks and which sorts after every class. One matrix
-    product updates the medoids of every k, and the rules above apply to
-    each cluster on its own.
-    A k at its fixed point leaves the pass, as a pass over that k alone
-    would have stopped there, so row r is the same whichever other ks
-    share the call.
+    product updates the medoids of every k; its one-hot spans only the
+    sum(ks) real clusters, since no class joins a padded one. Every k
+    iterates until all are fixed. A k at its fixed point maps to itself,
+    so the passes after it leave its row as a pass over that k alone
+    would have stopped it, and the rules above apply to each cluster on
+    its own, with exact sums: row r is the same whichever other ks share
+    the call.
     """
     sim = np.asarray(sim, dtype=float)
     n = sim.shape[0]
@@ -117,40 +94,33 @@ def cluster_labels(
     padded[:, n] = -np.inf
 
     kmax = int(ks.max())
-    clusters = np.arange(kmax)
-    real = clusters < ks[:, None]
+    real = np.arange(kmax) < ks[:, None]
+    # (rows[q], cols[q]) is the q-th real cluster: cluster cols[q] of
+    # partition rows[q]. Padded clusters would stay empty, so the member
+    # one-hot leaves them out.
+    rows, cols = np.nonzero(real)
     # Row r: the first ks[r] entries of one permutation, sorted, then n.
     first = np.random.default_rng(seed).permutation(n)[:kmax]
     medoids = np.sort(np.where(real, first, n), axis=1)
-    out_medoids = np.full_like(medoids, n)
-    labels = np.empty((ks.size, n), dtype=np.intp)
-    converged = np.zeros(ks.size, dtype=bool)
-    # Partitions still iterating, their ks, and their medoid rows cut to
-    # the largest of those ks. One at its fixed point stays there, so
-    # dropping it stops it where its own loop would have stopped.
-    active, ks_active, width = np.arange(ks.size), ks, kmax
-    assignment = _assign(padded, medoids)
+    # assignment[r, c] is class c's cluster in partition r.
+    assignment = _assign(padded, medoids).T
     for _ in range(max_iter):
-        new = _update_medoids(sim_zero_diag, assignment, clusters[:width], real)
-        fixed = (new == medoids).all(axis=1)
-        if fixed.any():
-            done = active[fixed]
-            converged[done] = True
-            labels[done] = assignment[:, fixed].T
-            out_medoids[done, :width] = new[fixed]
-            keep = ~fixed
-            active, ks_active = active[keep], ks_active[keep]
-            if not active.size:
-                break
-            width = int(ks_active.max())
-            new, real = new[keep, :width], real[keep, :width]
+        # member[q, c]: class c is in real cluster q. within[q, c] is its
+        # similarity sum over that cluster if it is a member, else -inf;
+        # argmax takes a row's first maximum, the lowest index.
+        member = assignment[rows] == cols[:, None]
+        within = np.where(member, member @ sim_zero_diag.T, -np.inf)
+        new = np.full_like(medoids, n)
+        new[rows, cols] = within.argmax(axis=1)
+        new.sort(axis=1)
+        converged = (new == medoids).all(axis=1)
+        if converged.all():
+            break
         medoids = new
-        assignment = _assign(padded, medoids)
-    else:
-        # max_iter reached: the latest assignment, not converged.
-        labels[active] = assignment.T
-        out_medoids[active, :width] = medoids
-    return labels, out_medoids, converged
+        assignment = _assign(padded, medoids).T
+    # At max_iter, the latest assignment, and a row is converged if its
+    # last pass left it fixed.
+    return assignment, medoids, converged
 
 
 def select_targets(
@@ -176,9 +146,12 @@ def select_targets(
     present = np.bincount(ks, minlength=n_classes + 1).astype(bool)
     # which[i] is the row of ks[i] among the distinct ks, in ascending order.
     which = (np.cumsum(present) - 1)[ks]
-    # labels_by_k[u, c] is the cluster of class c in the u-th distinct k's
-    # partition; same[u, a, c] is whether a and c share that cluster.
     labels_by_k, _, _ = cluster_labels(sim, np.flatnonzero(present), seed)
-    same = labels_by_k[:, :, None] == labels_by_k[:, None, :]
-    mask = same[which, pnorm.argmax(axis=1)]
+    mask = candidate_mask(labels_by_k, which, pnorm.argmax(axis=1))
     return restrict(pnorm, mask), mask
+
+
+def candidate_mask(labels_by_k: np.ndarray, which, top: np.ndarray) -> np.ndarray:
+    """(n, K) mask of the classes that share a cluster with class top[i] in
+    partition labels_by_k[which[i]]; a scalar which is that row for every i."""
+    return labels_by_k[which] == labels_by_k[which, top][:, None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import labels as lb
-from .clustering import select_targets
+from .clustering import candidate_mask, cluster_labels, select_targets
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
@@ -449,19 +449,20 @@ def entropy_vs_k(
     subset: int | None = None,
 ) -> list[float]:
     """Mean selected-label entropy over the unlabeled set for each fixed k,
-    against one frozen ledger. The rows are taken EVAL_BLOCK at a time, with
-    one select_targets call per k on each block, so memory does not grow
-    with len(ks); each k gets the same partition in every call."""
+    against one frozen ledger. Every k is clustered once, in one
+    cluster_labels call, whose row for k is a lone k's partition; the rows
+    are then taken EVAL_BLOCK at a time and restricted per k, so memory
+    does not grow with len(ks)."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
-    sim = ledger.similarity_matrix()
+    labels_by_k, _, _ = cluster_labels(ledger.similarity_matrix(), ks, seed)
     entropies = np.empty((len(ks), x.shape[0]))
     for start, logits in logit_blocks(model, x):
         probs = softmax(logits)
         pnorm = probs / probs.sum(axis=1, keepdims=True)
-        n = len(pnorm)
-        for row, k in enumerate(ks):
-            targets, _ = select_targets(pnorm, sim, np.full(n, k), seed=seed)
-            entropies[row, start:start + n] = lb.entropy(targets)
+        top = pnorm.argmax(axis=1)
+        for row in range(len(ks)):
+            targets = lb.restrict(pnorm, candidate_mask(labels_by_k, row, top))
+            entropies[row, start:start + len(pnorm)] = lb.entropy(targets)
     # Each k's mean over its own contiguous row, as a lone k's run takes it.
     return [float(np.mean(row)) for row in entropies]
 

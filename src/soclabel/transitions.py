@@ -59,20 +59,26 @@ class TransitionLedger:
         if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
             raise ValueError(f"sample id outside [0, {n_ids})")
 
-        # In id order (stable, so repeats keep batch order), each
-        # observation's previous prediction is last_pred's for an id's
-        # first occurrence and the one before it otherwise.
-        order = np.argsort(ids, kind="stable")
-        sorted_ids, sorted_preds = ids[order], preds[order]
-        first = np.ones(ids.size, dtype=bool)
-        first[1:] = sorted_ids[1:] != sorted_ids[:-1]
-        last = np.ones(ids.size, dtype=bool)
-        last[:-1] = first[1:]
-        prev_sorted = self.last_pred[sorted_ids]
-        prev_sorted[1:] = np.where(first[1:], prev_sorted[1:], sorted_preds[:-1])
-        prev = np.empty_like(preds)
-        prev[order] = prev_sorted
-        self.last_pred[sorted_ids[last]] = sorted_preds[last]
+        sorted_ids = np.sort(ids)
+        if (sorted_ids[1:] != sorted_ids[:-1]).all():
+            # No id repeats, as in any batch drawn without replacement.
+            prev = self.last_pred[ids]
+            self.last_pred[ids] = preds
+        else:
+            # In id order (stable, so repeats keep batch order), each
+            # observation's previous prediction is last_pred's for an id's
+            # first occurrence and the one before it otherwise.
+            order = np.argsort(ids, kind="stable")
+            sorted_ids, sorted_preds = ids[order], preds[order]
+            first = np.ones(ids.size, dtype=bool)
+            first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+            last = np.ones(ids.size, dtype=bool)
+            last[:-1] = first[1:]
+            prev_sorted = self.last_pred[sorted_ids]
+            prev_sorted[1:] = np.where(first[1:], prev_sorted[1:], sorted_preds[:-1])
+            prev = np.empty_like(preds)
+            prev[order] = prev_sorted
+            self.last_pred[sorted_ids[last]] = sorted_preds[last]
 
         moved = (prev != UNOBSERVED) & (prev != preds)
         recorded = np.stack([prev[moved], preds[moved]], axis=1)

@@ -232,7 +232,7 @@ class TestClusterLabels:
         full=st.booleans(),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**31 - 1),
-        max_iter=st.sampled_from([1, 2, 100]),
+        max_iter=st.sampled_from([1, 2, 3, 100]),
     )
     @settings(max_examples=40, deadline=None)
     def test_ledger_windows(self, K, window, full, data_seed, seed, max_iter):
@@ -246,7 +246,7 @@ class TestClusterLabels:
         kind=st.sampled_from(["small", "duplicated", "negative"]),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**31 - 1),
-        max_iter=st.sampled_from([1, 2, 100]),
+        max_iter=st.sampled_from([1, 2, 3, 100]),
     )
     # The tied 4+-member clusters of TestKmedoidsOracle, among other ks.
     @example(K=32, kind="duplicated", data_seed=7, seed=0, max_iter=100)
@@ -258,6 +258,33 @@ class TestClusterLabels:
         ks = self.distinct_ks(rng, K)
         if K == 32 and 11 not in ks:
             ks.append(11)  # k of the pinned tie examples
+        self.assert_rows_match_reference(sim, ks, seed, max_iter)
+
+    def test_fixed_rows_wait_for_moving_ones(self):
+        # ks 4 and 11 are fixed after the first pass, while 5 and 6 still
+        # move after the second: every row must keep its own stopping point.
+        sim = symmetric(np.random.default_rng(0).integers(0, 10, size=(12, 12)))
+        ks, seed = [5, 4, 11, 6], 3
+        assert all(reference_kmedoids(sim, k, seed, max_iter=1)[2] for k in (4, 11))
+        assert not any(reference_kmedoids(sim, k, seed, max_iter=2)[2] for k in (5, 6))
+        for max_iter in (1, 2, 3, 100):
+            self.assert_rows_match_reference(sim, ks, seed, max_iter)
+
+    @given(
+        window=st.sampled_from([8, 512]),
+        full=st.booleans(),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        max_iter=st.sampled_from([1, 2, 3, 100]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_k200_training_ks(self, window, full, data_seed, seed, max_iter):
+        # At K=200 a training call clusters about 17 distinct ks, the
+        # largest near 26.
+        rng = np.random.default_rng(data_seed)
+        n_batches = window if full else int(rng.integers(1, window))
+        sim = ledger_similarity(rng, 200, window, n_batches)
+        ks = rng.choice(np.arange(2, 29), size=17, replace=False).tolist()
         self.assert_rows_match_reference(sim, ks, seed, max_iter)
 
     def test_empty_cluster_raises(self):

@@ -151,25 +151,30 @@ class TestObserveOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_dict_loop(self, K, window, n_ids, data_seed):
-        # Batches of 0 to 60 draws from n_ids ids repeat ids often.
+        # Batches of 0 to 60 draws from n_ids ids repeat ids often; every
+        # other batch is drawn without replacement, as training draws them.
         rng = np.random.default_rng(data_seed)
         ledger = make(K, window, n_ids)
         ref_last, ref_window = {}, []
         ref_sum = np.zeros((K, K), dtype=np.int64)
-        for _ in range(int(rng.integers(1, 12))):
-            ids = rng.integers(0, n_ids, size=int(rng.integers(0, 61)))
+        for i in range(int(rng.integers(1, 12))):
+            size = int(rng.integers(0, 61))
+            if i % 2:
+                ids = rng.choice(n_ids, size=min(size, n_ids), replace=False)
+            else:
+                ids = rng.integers(0, n_ids, size=size)
             preds = rng.integers(0, K, size=ids.size)
             bt = ledger.observe_batch(ids, preds)
             events = reference_observe(ref_last, ref_window, window, ref_sum,
                                        list(zip(ids.tolist(), preds.tolist())))
             assert [tuple(e) for e in bt.tolist()] == events
             assert np.array_equal(ledger.running_sum, ref_sum)
+            expected = np.full(n_ids, -1)
+            expected[list(ref_last)] = list(ref_last.values())
+            assert ledger.last_pred.tolist() == expected.tolist()
         assert [b.tolist() for b in ledger.window] == [
             [list(e) for e in events] for events in ref_window
         ]
-        expected = np.full(n_ids, -1)
-        expected[list(ref_last)] = list(ref_last.values())
-        assert ledger.last_pred.tolist() == expected.tolist()
 
     def test_events_are_read_only(self):
         # Eviction subtracts a batch's events again, so a write into one
