@@ -170,14 +170,16 @@ def _replay(records, n_classes: int, window: int) -> TransitionLedger:
     return ledger
 
 
+def _policy_config(args) -> dict:
+    """The policy flags as a config's sim.k_policy object."""
+    key = {"linear": "alpha", "exp": "beta", "fixed": "k"}[args.policy]
+    return {"policy": args.policy, key: getattr(args, key)}
+
+
 def _policy_from_args(args, n_classes: int) -> KPolicy:
     try:
-        if args.policy == "linear":
-            return KPolicy.linear(args.alpha, n_classes)
-        if args.policy == "exp":
-            return KPolicy.exponential(args.beta, n_classes)
-        return KPolicy.fixed(args.k, n_classes)
-    except ValueError as exc:
+        return KPolicy.from_config(_policy_config(args), n_classes)
+    except (KeyError, TypeError, ValueError, InvalidK) as exc:
         raise ConfigError(f"--policy {args.policy}: {exc}") from exc
 
 
@@ -241,7 +243,9 @@ def cmd_cluster(args) -> int:
     seed = _default_seed(args)
     records, _, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
-    if args.k is not None:
+    # A lone --k is the cluster count; with --policy fixed it is the
+    # policy's k, checked as every policy is.
+    if args.k is not None and args.policy != "fixed":
         k = args.k
     else:
         policy = _policy_from_args(args, n_classes)
@@ -283,14 +287,7 @@ def cmd_sim(args) -> int:
     if args.tau is not None:
         sim_raw["tau"] = args.tau
     if args.policy:
-        policy = {"policy": args.policy}
-        if args.policy == "linear":
-            policy["alpha"] = args.alpha
-        elif args.policy == "exp":
-            policy["beta"] = args.beta
-        else:
-            policy["k"] = args.k
-        sim_raw["k_policy"] = policy
+        sim_raw["k_policy"] = _policy_config(args)
     if args.seed is not None:
         sim_raw["seed"] = args.seed
     if args.nb is not None:

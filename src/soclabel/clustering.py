@@ -137,16 +137,15 @@ def select_targets(
     both (n, K).
     """
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
-    n_classes = sim.shape[0]
-    low, high = int(ks.min()), int(ks.max())
-    if low < 2 or high > n_classes:
-        # The smallest bad k, which cluster_labels would name.
-        bad = low if low < 2 else int(ks[ks > n_classes].min())
-        raise InvalidK(f"k={bad} outside [2, {n_classes}]")
-    present = np.bincount(ks, minlength=n_classes + 1).astype(bool)
-    # which[i] is the row of ks[i] among the distinct ks, in ascending order.
-    which = (np.cumsum(present) - 1)[ks]
-    labels_by_k, _, _ = cluster_labels(sim, np.flatnonzero(present), seed)
+    # The distinct ks in ascending order, so cluster_labels names the
+    # smallest bad one. (np.unique would import numpy.ma.)
+    distinct = sorted(set(ks.tolist()))
+    labels_by_k, _, _ = cluster_labels(sim, distinct, seed)
+    # which[i] is the row of ks[i] among the distinct ks, all now in
+    # [2, K]. (np.searchsorted would page in 0.1 MB more of numpy.)
+    row = np.zeros(distinct[-1] + 1, dtype=np.intp)
+    row[distinct] = np.arange(len(distinct))
+    which = row[ks]
     mask = candidate_mask(labels_by_k, which, pnorm.argmax(axis=1))
     return restrict(pnorm, mask), mask
 

@@ -38,7 +38,7 @@ class DivergedAtIteration(SocLabelError):
 
 
 class SchemaError(SocLabelError):
-    """Prediction log or snapshot file violates its schema."""
+    """Prediction log violates its schema."""
 
 
 class ConfigError(SocLabelError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import labels as lb
 from .clustering import candidate_mask, cluster_labels, select_targets
-from .errors import ConfigError, DivergedAtIteration, EmptyBatch
+from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
 from .transitions import TransitionLedger
@@ -107,22 +107,15 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     return Dataset(x_lab, y_lab, x_ulb, y_ulb, x_test, y_test, K, spec)
 
 
-def augment(
-    x: np.ndarray,
-    strength: str,
-    rng: np.random.Generator,
-    sigma_weak: float = 0.3,
-    sigma_strong: float = 1.0,
-    drop_frac: float = 0.25,
-) -> np.ndarray:
-    """Feature-space perturbation: additive noise, plus coordinate dropout
-    for the strong variant."""
+def augment(x: np.ndarray, strength: str, rng: np.random.Generator) -> np.ndarray:
+    """Feature-space perturbation: Gaussian noise of scale 0.3 (weak), or of
+    scale 1.0 with a quarter of the coordinates dropped (strong)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if strength == "weak":
-        return x + sigma_weak * rng.normal(size=x.shape)
+        return x + 0.3 * rng.normal(size=x.shape)
     if strength == "strong":
-        out = x + sigma_strong * rng.normal(size=x.shape)
-        keep = rng.random(size=x.shape) >= drop_frac
+        out = x + rng.normal(size=x.shape)
+        keep = rng.random(size=x.shape) >= 0.25
         return out * keep
     raise ValueError(f"unknown augmentation strength {strength!r}")
 
@@ -132,6 +125,10 @@ def augment(
 
 
 BASELINES = ("soc", "fixmatch", "soft")
+
+# The SGD recipe of FixMatch (Sohn et al., 2020).
+MOMENTUM = 0.9
+WEIGHT_DECAY = 5e-4
 
 
 @dataclass(frozen=True)
@@ -143,17 +140,12 @@ class SimConfig:
     lambda_cos: float = 1.0
     iters: int = 5000
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
     warmup_epochs: int = 1
     seed: int = 0
     baseline: str = "soc"
     tau: float = 0.95  # fixmatch baseline threshold
     eval_every: int = 100
     eval_subset: int = 512
-    sigma_weak: float = 0.3
-    sigma_strong: float = 1.0
-    drop_frac: float = 0.25
 
     def __post_init__(self):
         if type(self.seed) is not int or self.seed < 0:
@@ -163,6 +155,12 @@ class SimConfig:
             raise ConfigError(f"baseline must be one of {BASELINES}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must be in [0, 1]")
+        if self.lr <= 0.0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.lambda_cos < 0.0:
+            raise ConfigError(f"lambda_cos must be >= 0, got {self.lambda_cos}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
         counts = (self.batch_size, self.mu, self.iters, self.window,
                   self.eval_every, self.eval_subset)
         if min(counts) < 1:
@@ -275,8 +273,8 @@ def soc_step(
     labeled: tuple[np.ndarray, np.ndarray],
     unlabeled: tuple[np.ndarray, np.ndarray],
     config: SimConfig,
-    in_warmup: bool = False,
-    lr: float | None = None,
+    in_warmup: bool,
+    lr: float,
 ) -> float:
     """One training iteration: weak/strong forward passes, transition
     tracking (soc only), target selection, losses and an SGD-momentum
@@ -287,11 +285,7 @@ def soc_step(
     muB = x_ulb.shape[0]
     model = state.model
 
-    aug = lambda x, s: augment(
-        x, s, state.rng_aug, config.sigma_weak, config.sigma_strong, config.drop_frac
-    )
-
-    xw_lab = aug(x_lab, "weak")
+    xw_lab = augment(x_lab, "weak", state.rng_aug)
     logits_lab = model.logits(xw_lab)
     per_sample, grad_lab = cross_entropy_terms(one_hot(y_lab, model.bias.size), logits_lab)
     if per_sample.size == 0:
@@ -303,11 +297,11 @@ def soc_step(
     # every arm so trajectories stay comparable across baselines. Only soc
     # reads the transition ledger (build_targets clusters on it), so only
     # soc feeds it, warmup included; the other arms leave it at version 0.
-    xw_ulb = aug(x_ulb, "weak")
+    xw_ulb = augment(x_ulb, "weak", state.rng_aug)
     probs_weak = softmax(model.logits(xw_ulb))
     if config.baseline == "soc":
         state.ledger.observe_batch(ulb_ids, probs_weak.argmax(axis=1))
-    xs_ulb = aug(x_ulb, "strong")
+    xs_ulb = augment(x_ulb, "strong", state.rng_aug)
     strong_logits = model.logits(xs_ulb)
 
     consistency_active = not in_warmup and config.lambda_cos != 0.0
@@ -333,13 +327,12 @@ def soc_step(
     if grad_strong is not None:
         grad_w += grad_strong.T @ xs_ulb
         grad_b += grad_strong.sum(axis=0)
-    grad_w += config.weight_decay * model.weights
+    grad_w += WEIGHT_DECAY * model.weights
 
-    step_lr = config.lr if lr is None else lr
-    state.vel_w = config.momentum * state.vel_w + grad_w
-    state.vel_b = config.momentum * state.vel_b + grad_b
-    model.weights -= step_lr * state.vel_w
-    model.bias -= step_lr * state.vel_b
+    state.vel_w = MOMENTUM * state.vel_w + grad_w
+    state.vel_b = MOMENTUM * state.vel_b + grad_b
+    model.weights -= lr * state.vel_w
+    model.bias -= lr * state.vel_b
     state.iteration += 1
 
     return total
@@ -487,7 +480,7 @@ def config_from_dict(raw: dict) -> tuple[SimConfig, SyntheticDatasetSpec]:
     policy_raw = sim_raw.pop("k_policy", {"policy": "linear", "alpha": 5.0})
     try:
         policy = KPolicy.from_config(policy_raw, spec.n_classes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidK) as exc:
         raise ConfigError(f"sim.k_policy: {exc}") from exc
     try:
         config = SimConfig(k_policy=policy, **sim_raw)

@@ -61,9 +61,13 @@ class TestSelect:
             assert out.read_bytes() == golden.read_bytes()
 
     def test_bad_policy_exits_usage(self, capsys):
-        for flags in (["--policy", "fixed"], ["--alpha", "1.0"], ["--alpha", "nan"]):
-            assert main(["select", TOY_LOG, *flags]) == EXIT_USAGE
-            assert "Traceback" not in capsys.readouterr().err
+        for command in ("select", "cluster"):
+            for flags in (["--policy", "fixed"], ["--policy", "fixed", "--k", "9"],
+                          ["--alpha", "1.0"], ["--alpha", "nan"]):
+                assert main([command, TOY_LOG, *flags]) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("config error: --policy "), (command, flags, err)
+                assert err.count("\n") == 1, err
 
     def test_non_positive_window_exits_usage_before_reading(self, capsys):
         # The log does not exist: the window is checked first.
@@ -574,8 +578,19 @@ class TestSim:
             {"sim": {"iters": 1.5}},
             {"sim": {"lr": "x"}},
             {"sim": {"lambda_cos": "x"}},
+            # Out-of-range fields.
+            {"sim": {"lr": -0.05}},
+            {"sim": {"lr": 0.0}},
+            {"sim": {"lambda_cos": -1.0}},
+            {"sim": {"warmup_epochs": -3}},
+            {"sim": {"k_policy": {"policy": "fixed", "k": 99}}},
             # A removed field is an unknown one.
             {"sim": {"cluster_max_iter": 1.5}},
+            {"sim": {"momentum": 1.5}},
+            {"sim": {"weight_decay": -1.0}},
+            {"sim": {"sigma_weak": -0.3}},
+            {"sim": {"sigma_strong": 1.0}},
+            {"sim": {"drop_frac": 2.0}},
             {"sim": {"window": 2.5}},
             {"sim": {"eval_every": 2.5}},
             {"dataset": {"n_super": 2.5}},
@@ -584,6 +599,18 @@ class TestSim:
             assert main(["sim", "--config", str(config)]) == EXIT_USAGE, bad
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_bad_policy_flags_exit_usage(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        for flags, message in (
+            (["--policy", "fixed", "--k", "99"], "fixed k must be in [2, 32]"),
+            (["--policy", "fixed"], "k must be an integer, got None"),
+            (["--policy", "linear", "--alpha", "1.0"], "alpha must be >= K/(K-2)"),
+        ):
+            assert main(["sim", *flags]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: sim.k_policy: {message}"), err
+            assert err.count("\n") == 1, err
 
     def test_config_not_json(self, tmp_path):
         config = tmp_path / "bad.json"
