@@ -13,14 +13,13 @@ import contextlib
 import json
 import os
 import sys
-from itertools import compress
 
 import numpy as np
 
 from . import labels as lb
-from .clustering import cluster_labels, select_targets
+from .clustering import candidate_mask, cluster_labels, partitions
 from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
-from .kselect import KPolicy, select_k
+from .kselect import KPolicy, parse_config, select_k
 from .losses import softmax
 from .sim import (
     build_targets,
@@ -46,13 +45,16 @@ EXIT_PIPE = 141
 
 # Rows are normalized, checked and reduced to their argmax this many at a
 # time: one array pass per block instead of one per record, with the block
-# small next to the final step's rows.
+# small next to the final step's rows. `select` builds its output in blocks
+# of the same size.
 READ_BLOCK = 256
 
 
-def _parse_record(line: str, lineno: int, n_classes, seen: set):
-    """The (id, step, probs) of one log line, after every check that needs
-    only that line; raises SchemaError naming the line."""
+def _parse_record(line: str, lineno: int, n_classes, index: dict, seen: set):
+    """The (ledger id, step, probs) of one log line, after every check that
+    needs only that line; raises SchemaError naming the line. A new string
+    id is added to index, which maps each id to its ledger id, the ids
+    numbered in order of first appearance."""
     # The log is read with surrogateescape, which turns bytes that are not
     # UTF-8 into lone surrogates; those cannot be encoded back.
     if not line.isascii():
@@ -64,6 +66,8 @@ def _parse_record(line: str, lineno: int, n_classes, seen: set):
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise SchemaError(f"line {lineno}: malformed JSON ({exc})") from exc
     if not isinstance(rec, dict) or rec.get("schema") != LOG_SCHEMA:
         raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
     try:
@@ -74,27 +78,32 @@ def _parse_record(line: str, lineno: int, n_classes, seen: set):
             raise TypeError(f"id must be a string, got {sample_id!r}")
         if type(step) is not int:  # a bool is an int to Python
             raise TypeError(f"step must be an integer, got {step!r}")
+        if not -2**63 <= step < 2**63:  # records keep steps as int64
+            raise ValueError(f"step must be in [-2**63, 2**63), got {step}")
         probs = np.asarray(rec["probs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
     if n_classes is not None and probs.size != n_classes:
         raise SchemaError(f"line {lineno}: K mismatch ({probs.size} != {n_classes})")
-    if (sample_id, step) in seen:
+    ledger_id = index.setdefault(sample_id, len(index))
+    if (ledger_id, step) in seen:
         raise SchemaError(f"line {lineno}: duplicate (id, step)")
     if probs.ndim != 1:
         raise SchemaError(f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")
-    seen.add((sample_id, step))
-    return sample_id, step, probs
+    seen.add((ledger_id, step))
+    return ledger_id, step, probs
 
 
 def _read_log(path: str):
     """Parse an NDJSON prediction log into
-    (records, final_ids, final_probs, n_classes).
+    (records, names, final_probs, n_classes).
 
-    records holds (step, id, argmax) for every record, in file order.
-    final_ids and final_probs hold the ids and the normalized probability
-    rows of the records of the highest step, in file order; no other
-    step's probabilities are kept.
+    records is a (3, n) int64 array: row 0 holds each record's step, row 1
+    its ledger id and row 2 its argmax, in file order. A record's ledger id
+    is the index of its string id in names, which lists the ids in order
+    of first appearance. final_probs holds the normalized probability rows
+    of the records of the highest step, in file order; no other step's
+    probabilities are kept.
 
     Each line's UTF-8, JSON, schema, fields, K, (id, step) and shape are
     checked as it is read. Its probabilities then wait in a block of up to
@@ -103,18 +112,19 @@ def _read_log(path: str):
     line's error is raised, so the error is always the first bad line's,
     with the message a record-by-record check gives.
     """
-    records = []
-    final_ids, final_parts = [], []
+    parts = []  # the records of each checked block
+    final_parts = []
     top_step = None
     n_classes = None
-    seen = set()
-    block = []  # (lineno, step, id, probs) of the rows awaiting their check
+    index = {}
+    seen = set()  # the (ledger id, step) of every record read
+    block = []  # (lineno, ledger id, step, probs) of the rows awaiting their check
 
     def check_block():
-        nonlocal top_step, final_ids, final_parts
+        nonlocal top_step, final_parts
         if not block:
             return
-        linenos, steps, ids, raw = zip(*block)
+        linenos, ids, steps, raw = zip(*block)
         block.clear()
         raw = np.stack(raw)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -123,14 +133,15 @@ def _read_log(path: str):
             lb.check_rows(rows)
         except lb.InvalidRow as exc:
             raise SchemaError(f"line {linenos[exc.row]}: bad probabilities ({exc})") from exc
-        records.extend(zip(steps, ids, rows.argmax(axis=1).tolist()))
+        part = np.empty((3, len(rows)), dtype=np.int64)
+        part[0], part[1], part[2] = steps, ids, rows.argmax(axis=1)
+        parts.append(part)
         high = max(steps)
         if top_step is None or high > top_step:
-            top_step, final_ids, final_parts = high, [], []
-        keep = [step == top_step for step in steps]
-        if any(keep):
-            final_parts.append(rows[np.array(keep)])
-            final_ids.extend(compress(ids, keep))
+            top_step, final_parts = high, []
+        keep = part[0] == top_step
+        if keep.any():
+            final_parts.append(rows[keep])
 
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -138,49 +149,71 @@ def _read_log(path: str):
             if not line:
                 continue
             try:
-                sample_id, step, probs = _parse_record(line, lineno, n_classes, seen)
+                ledger_id, step, probs = _parse_record(line, lineno, n_classes, index, seen)
             except SchemaError:
                 # A row still in the block may hold an earlier error.
                 check_block()
                 raise
             n_classes = probs.size
-            block.append((lineno, step, sample_id, probs))
+            block.append((lineno, ledger_id, step, probs))
             if len(block) == READ_BLOCK:
                 check_block()
     check_block()
-    if not records:
+    if not parts:
         raise SchemaError("log contains no records")
-    return records, final_ids, np.concatenate(final_parts), n_classes
+    del seen  # before the copies below, which would otherwise add to its peak
+    return np.concatenate(parts, axis=1), list(index), np.concatenate(final_parts), n_classes
 
 
 def _replay(records, n_classes: int, window: int) -> TransitionLedger:
-    """Feed the log's (step, id, argmax) records through the transition
-    tracker in step order."""
-    # The ledger's integer ids are the string ids in order of first appearance.
-    index = {}
-    by_step = {}
-    for step, sample_id, pred in records:
-        by_step.setdefault(step, []).append((index.setdefault(sample_id, len(index)), pred))
-    ledger = TransitionLedger(n_classes, window, len(index))
-    for step in sorted(by_step):
-        ids, preds = zip(*by_step[step])
-        ledger.observe_batch(ids, preds)
-    if len(by_step) < 2:
+    """Feed the log's records through the transition tracker, one batch
+    per step in step order, each batch in file order."""
+    steps, ids, preds = records
+    order = np.argsort(steps, kind="stable")
+    in_order = steps[order]
+    # Batch b is order[edges[b]:edges[b + 1]].
+    edges = np.flatnonzero(np.r_[True, in_order[1:] != in_order[:-1], True])
+    # Ledger ids number the string ids from 0 without a gap.
+    ledger = TransitionLedger(n_classes, window, int(ids.max()) + 1)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        batch = order[lo:hi]
+        ledger.observe_batch(ids[batch], preds[batch])
+    if edges.size < 3:
         print("warning: single-step log, similarity is cold (all zero)", file=sys.stderr)
     return ledger
 
 
+# The parameter flag a policy reads, and its value when the flag is unset.
+POLICY_FLAG = {"linear": ("alpha", 5.0), "exp": ("beta", 0.5), "fixed": ("k", None)}
+
+
+def _policy_flags(args) -> list[str]:
+    """The parameter flags given: alpha, beta and k, as set."""
+    return [key for key in ("alpha", "beta", "k") if getattr(args, key) is not None]
+
+
 def _policy_config(args) -> dict:
-    """The policy flags as a config's sim.k_policy object."""
-    key = {"linear": "alpha", "exp": "beta", "fixed": "k"}[args.policy]
-    return {"policy": args.policy, key: getattr(args, key)}
+    """The policy flags as a config's sim.k_policy object: --policy, linear
+    when unset, its own parameter, defaulted when unset, and every other
+    parameter flag given, which the policy's checks reject."""
+    policy = args.policy or "linear"
+    key, default = POLICY_FLAG[policy]
+    cfg = {"policy": policy, key: default}
+    cfg.update((flag, getattr(args, flag)) for flag in _policy_flags(args))
+    return cfg
 
 
-def _policy_from_args(args, n_classes: int) -> KPolicy:
+def _policy(cfg: dict, n_classes: int | None = None) -> KPolicy | None:
+    """The KPolicy of a policy-flag config for K = n_classes. Without K,
+    only the checks that need none are made (the flags the policy reads,
+    and their types), and None is returned. A bad policy is a ConfigError."""
     try:
-        return KPolicy.from_config(_policy_config(args), n_classes)
-    except (KeyError, TypeError, ValueError, InvalidK) as exc:
-        raise ConfigError(f"--policy {args.policy}: {exc}") from exc
+        if n_classes is None:
+            parse_config(cfg)
+            return None
+        return KPolicy.from_config(cfg, n_classes)
+    except (TypeError, ValueError, InvalidK) as exc:
+        raise ConfigError(f"--policy {cfg['policy']}: {exc}") from exc
 
 
 def _default_seed(args) -> int:
@@ -214,26 +247,37 @@ def cmd_select(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
     seed = _default_seed(args)
+    policy_cfg = _policy_config(args)
+    _policy(policy_cfg)  # all but the bounds, which need the log's K
     if args.out:
         _check_out(args.out)
-    records, final_ids, probs, n_classes = _read_log(args.log)
+    records, names, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
-    policy = _policy_from_args(args, n_classes)
-    ks = select_k(policy, probs.max(axis=1)).tolist()
-    targets, mask = select_targets(probs, ledger.similarity_matrix(), ks, seed=seed)
-    before = lb.entropy(probs).tolist()
-    after = lb.entropy(targets).tolist()
+    ks = select_k(_policy(policy_cfg, n_classes), probs.max(axis=1))
+    labels_by_k, which = partitions(ledger.similarity_matrix(), ks, seed)
+    steps, ids, _ = records
+    final_ids = [names[i] for i in ids[steps == steps.max()].tolist()]
     sink = _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout)
+    # Each row's partition, target and entropies are its own, so the rows
+    # are taken READ_BLOCK at a time with the bytes of one pass over all.
     with sink as out:
-        for i, sample_id in enumerate(final_ids):
-            out.write(json.dumps({
-                "id": sample_id,
-                "k": ks[i],
-                "candidate_classes": np.flatnonzero(mask[i]).tolist(),
-                "p_tilde": targets[i].tolist(),
-                "entropy_before": before[i],
-                "entropy_after": after[i],
-            }, sort_keys=True) + "\n")
+        for start in range(0, len(probs), READ_BLOCK):
+            rows = slice(start, start + READ_BLOCK)
+            pnorm = probs[rows]
+            mask = candidate_mask(labels_by_k, which[rows], pnorm.argmax(axis=1))
+            targets = lb.restrict(pnorm, mask)
+            for sample_id, k, keep, target, before, after in zip(
+                final_ids[rows], ks[rows].tolist(), mask, targets,
+                lb.entropy(pnorm).tolist(), lb.entropy(targets).tolist(),
+            ):
+                out.write(json.dumps({
+                    "id": sample_id,
+                    "k": k,
+                    "candidate_classes": np.flatnonzero(keep).tolist(),
+                    "p_tilde": target.tolist(),
+                    "entropy_before": before,
+                    "entropy_after": after,
+                }, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -241,15 +285,18 @@ def cmd_cluster(args) -> int:
     if args.nb < 1:
         raise ConfigError(f"--nb must be positive, got {args.nb}")
     seed = _default_seed(args)
-    records, _, probs, n_classes = _read_log(args.log)
-    ledger = _replay(records, n_classes, args.nb)
     # A lone --k is the cluster count; with --policy fixed it is the
     # policy's k, checked as every policy is.
-    if args.k is not None and args.policy != "fixed":
+    lone_k = args.policy is None and _policy_flags(args) == ["k"]
+    if not lone_k:
+        policy_cfg = _policy_config(args)
+        _policy(policy_cfg)  # all but the bounds, which need the log's K
+    records, _, probs, n_classes = _read_log(args.log)
+    ledger = _replay(records, n_classes, args.nb)
+    if lone_k:
         k = args.k
     else:
-        policy = _policy_from_args(args, n_classes)
-        k = int(select_k(policy, probs.max(axis=1).mean()))
+        k = int(select_k(_policy(policy_cfg, n_classes), probs.max(axis=1).mean()))
     labels, medoids, converged = cluster_labels(ledger.similarity_matrix(), [k], seed=seed)
     print(json.dumps({
         "k": k,
@@ -288,6 +335,9 @@ def cmd_sim(args) -> int:
         sim_raw["tau"] = args.tau
     if args.policy:
         sim_raw["k_policy"] = _policy_config(args)
+    elif stray := _policy_flags(args):
+        raise ConfigError(f"--{stray[0]} needs --policy; without it "
+                          "the config's sim.k_policy holds")
     if args.seed is not None:
         sim_raw["seed"] = args.seed
     if args.nb is not None:
@@ -376,11 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_policy_flags(p, default="linear"):
-        p.add_argument("--policy", choices=["linear", "exp", "fixed"], default=default)
-        p.add_argument("--alpha", type=float, default=5.0)
-        p.add_argument("--beta", type=float, default=0.5)
-        p.add_argument("--k", type=int, default=None)
+    def add_policy_flags(p):
+        # Unset flags stay None, so a flag the policy does not read shows.
+        p.add_argument("--policy", choices=list(POLICY_FLAG), default=None)
+        p.add_argument("--alpha", type=float, default=None, help="linear (default 5)")
+        p.add_argument("--beta", type=float, default=None, help="exp (default 0.5)")
+        p.add_argument("--k", type=int, default=None, help="fixed")
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("select", help="replay a prediction log and select soft labels")
@@ -398,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run the training simulator")
     p.add_argument("--config", default=None, help="JSON config file")
-    # No default: the config's sim.k_policy holds unless --policy is given.
-    add_policy_flags(p, default=None)
+    # The config's sim.k_policy holds unless --policy is given.
+    add_policy_flags(p)
     p.add_argument("--baseline", choices=["soc", "fixmatch", "soft"], default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--nb", type=int, default=None)

@@ -136,18 +136,25 @@ def select_targets(
     every distinct k in one cluster_labels pass. Returns (targets, mask),
     both (n, K).
     """
+    labels_by_k, which = partitions(sim, ks, seed)
+    mask = candidate_mask(labels_by_k, which, pnorm.argmax(axis=1))
+    return restrict(pnorm, mask), mask
+
+
+def partitions(sim: np.ndarray, ks, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels_by_k, which): the cluster_labels partitions of the distinct
+    ks, ascending, and which[i], the row of ks[i] among them. Rows may then
+    be selected in any grouping, since each row's partition is its k's."""
     ks = np.asarray(ks, dtype=np.intp).reshape(-1)
     # The distinct ks in ascending order, so cluster_labels names the
     # smallest bad one. (np.unique would import numpy.ma.)
     distinct = sorted(set(ks.tolist()))
     labels_by_k, _, _ = cluster_labels(sim, distinct, seed)
-    # which[i] is the row of ks[i] among the distinct ks, all now in
-    # [2, K]. (np.searchsorted would page in 0.1 MB more of numpy.)
+    # The ks are all now in [2, K]. (np.searchsorted would page in 0.1 MB
+    # more of numpy.)
     row = np.zeros(distinct[-1] + 1, dtype=np.intp)
     row[distinct] = np.arange(len(distinct))
-    which = row[ks]
-    mask = candidate_mask(labels_by_k, which, pnorm.argmax(axis=1))
-    return restrict(pnorm, mask), mask
+    return labels_by_k, row[ks]
 
 
 def candidate_mask(labels_by_k: np.ndarray, which, top: np.ndarray) -> np.ndarray:

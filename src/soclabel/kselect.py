@@ -59,27 +59,40 @@ class KPolicy:
 
     @classmethod
     def from_config(cls, cfg: dict, n_classes: int) -> "KPolicy":
-        """The policy of a parsed config object; TypeError unless cfg is a
-        dict with a real alpha or beta, or an integer k."""
-        if not isinstance(cfg, dict):
-            raise TypeError(f"expected an object, got {cfg!r}")
-        name = cfg.get("policy")
-        if name == "linear":
-            return cls.linear(_real(cfg, "alpha"), n_classes)
-        if name in ("exp", "exponential"):
-            return cls.exponential(_real(cfg, "beta"), n_classes)
-        if name == "fixed":
-            if type(cfg["k"]) is not int:  # a bool is an int to Python
-                raise TypeError(f"k must be an integer, got {cfg['k']!r}")
-            return cls.fixed(cfg["k"], n_classes)
+        """The policy of a parsed config object, checked by parse_config
+        and then against n_classes."""
+        variant, value = parse_config(cfg)
+        return cls(variant, n_classes, **{PARAMETER[variant]: value})
+
+
+# Each variant's one parameter.
+PARAMETER = {"linear": "alpha", "exponential": "beta", "fixed": "k"}
+
+
+def parse_config(cfg: dict) -> tuple[str, float | int]:
+    """The (variant, parameter) of a parsed config object such as
+    {"policy": "linear", "alpha": 5}, with every check that needs no K:
+    TypeError unless cfg is a dict whose parameter is a number other than
+    NaN (an integer for fixed), ValueError for an unknown policy or a key
+    the policy does not read. The bounds need K and are KPolicy's."""
+    if not isinstance(cfg, dict):
+        raise TypeError(f"expected an object, got {cfg!r}")
+    name = cfg.get("policy")
+    variant = "exponential" if name == "exp" else name
+    if not isinstance(name, str) or variant not in PARAMETER:
         raise ValueError(f"unknown policy {name!r}")
-
-
-def _real(cfg: dict, key: str) -> float:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    key = PARAMETER[variant]
+    stray = sorted(set(cfg) - {"policy", key})
+    if stray:
+        raise ValueError(f"policy {name} reads {key}, not {', '.join(stray)}")
+    value = cfg.get(key)
+    if variant == "fixed":
+        if type(value) is not int:  # a bool is an int to Python
+            raise TypeError(f"k must be an integer, got {value!r}")
+        return variant, value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise TypeError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    return variant, float(value)
 
 
 def select_k(policy: KPolicy, confidence) -> np.ndarray:

@@ -69,6 +69,25 @@ class TestSelect:
                 assert err.startswith("config error: --policy "), (command, flags, err)
                 assert err.count("\n") == 1, err
 
+    def test_policy_flags_checked_before_reading_the_log(self, capsys, monkeypatch):
+        # Types, and flags the policy does not read, need no K. A lone
+        # --k is cluster's cluster count, so it is not among these.
+        monkeypatch.setattr(cli, "_read_log", no_training)
+        for command, flags, message in (
+            ("select", ["--policy", "fixed"], "fixed: k must be an integer, got None"),
+            ("select", ["--alpha", "nan"], "linear: alpha must be a number, got nan"),
+            ("select", ["--k", "2"], "linear: policy linear reads alpha, not k"),
+            ("select", ["--policy", "exp", "--alpha", "3"], "exp: policy exp reads beta, not alpha"),
+            ("select", ["--policy", "fixed", "--k", "3", "--beta", "0.3"],
+             "fixed: policy fixed reads k, not beta"),
+            ("cluster", ["--policy", "fixed"], "fixed: k must be an integer, got None"),
+            ("cluster", ["--policy", "linear", "--k", "2"],
+             "linear: policy linear reads alpha, not k"),
+            ("cluster", ["--k", "2", "--beta", "0.3"], "linear: policy linear reads alpha, not beta, k"),
+        ):
+            assert main([command, TOY_LOG, *flags]) == EXIT_USAGE
+            assert capsys.readouterr().err == f"config error: --policy {message}\n"
+
     def test_non_positive_window_exits_usage_before_reading(self, capsys):
         # The log does not exist: the window is checked first.
         for nb in ("0", "-1"):
@@ -124,6 +143,20 @@ class TestSelect:
         assert code == EXIT_OK
         assert "cold" in capsys.readouterr().err
 
+    def test_steps_span_int64(self, tmp_path):
+        # Replay orders steps numerically across the whole int64 range:
+        # a moves from class 0 at the lowest step to class 1 at the highest.
+        log = tmp_path / "wide.ndjson"
+        line = '{"schema": "soc-log-v1", "id": "a", "step": %d, "probs": %s}\n'
+        log.write_text(line % (2**63 - 1, "[0.1, 0.8, 0.1]") + line % (-2**63, "[0.8, 0.1, 0.1]"))
+        records, names, final_probs, n_classes = _read_log(str(log))
+        assert records.tolist() == [[2**63 - 1, -2**63], [0, 0], [1, 0]]
+        ledger = cli._replay(records, n_classes, 4)
+        assert ledger.running_sum.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        assert final_probs.argmax(axis=1).tolist() == [1]
+        code, _ = run_select(tmp_path, log=str(log))
+        assert code == EXIT_OK
+
     def test_soc_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOC_SEED", "0")
         out = tmp_path / "env.ndjson"
@@ -152,6 +185,8 @@ class TestLogErrors:
             '{"schema": "soc-log-v1", "id": "b", "step": Infinity, "probs": [1, 0]}',
             '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": [1' + "0" * 400
             + ", 0]}",
+            # A step past Python's integer digit limit.
+            '{"schema": "soc-log-v1", "id": "b", "step": 1' + "0" * 5000 + ', "probs": [1, 0]}',
         )
         # An id must be a JSON string and a step a JSON integer: int() would
         # take 1.7, true and "0", and str() would merge 5 with "5".
@@ -162,6 +197,11 @@ class TestLogErrors:
             '"id": "b", "step": 1.0': "step must be an integer, got 1.0",
             '"id": "b", "step": true': "step must be an integer, got True",
             '"id": "b", "step": "0"': "step must be an integer, got '0'",
+            # Steps are kept as int64.
+            '"id": "b", "step": 9223372036854775808':
+                "step must be in [-2**63, 2**63), got 9223372036854775808",
+            '"id": "b", "step": -9223372036854775809':
+                "step must be in [-2**63, 2**63), got -9223372036854775809",
         }
         cases = [(bad, None) for bad in bad_lines] + [
             ('{"schema": "soc-log-v1", %s, "probs": [1, 0]}' % fields, message)
@@ -270,6 +310,8 @@ def reference_read_log(path: str):
                     raise TypeError(f"id must be a string, got {sample_id!r}")
                 if type(step) is not int:
                     raise TypeError(f"step must be an integer, got {step!r}")
+                if not -2**63 <= step < 2**63:
+                    raise ValueError(f"step must be in [-2**63, 2**63), got {step}")
                 probs = np.asarray(rec["probs"], dtype=float)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
@@ -340,7 +382,8 @@ def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
         del rec[("schema", "id", "step", "probs")[j % 4]]
     elif kind == "field_types":
         key, value = (("id", 5), ("id", None), ("step", 1.5), ("step", 1.0),
-                      ("step", True), ("step", "0"))[j % 6]
+                      ("step", True), ("step", "0"), ("step", 2**63),
+                      ("step", -2**63 - 1))[j % 8]
         rec[key] = value
     elif kind == "k_mismatch":
         rec["probs"] = probs + [0.0] if j % 2 else probs[:-1]
@@ -410,9 +453,15 @@ class TestReadLogOracle:
             assert str(exc) == expected
         else:
             records, final_step, n_classes = expected
-            got_records, final_ids, final_probs, got_classes = got
-            assert got_records == records
-            assert final_ids == [sample_id for sample_id, _ in final_step]
+            got_records, names, final_probs, got_classes = got
+            # Every record's step, id and argmax; ids are numbered in order
+            # of first appearance.
+            steps, ids, preds = got_records.tolist()
+            assert list(zip(steps, [names[i] for i in ids], preds)) == records
+            assert names == list(dict.fromkeys(sample_id for _, sample_id, _ in records))
+            top = max(steps)
+            assert [names[i] for s, i in zip(steps, ids) if s == top] == [
+                sample_id for sample_id, _ in final_step]
             want = np.stack([p for _, p in final_step])
             assert final_probs.dtype == want.dtype and final_probs.shape == want.shape
             assert final_probs.tobytes() == want.tobytes()
@@ -449,6 +498,57 @@ def test_read_log_memory_stays_near_the_final_step(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6_000_000
+
+
+def read_side_memory(path: str) -> tuple[int, int]:
+    """tracemalloc's (live, peak) bytes after _read_log and _replay of the
+    log at path, with their results still held."""
+    tracemalloc.start()
+    try:
+        records, names, final_probs, n_classes = _read_log(path)
+        ledger = cli._replay(records, n_classes, 512)
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_side_memory_per_record(tmp_path):
+    # 1000 ids over 10 and over 40 steps. What a record costs does not
+    # depend on K (its probabilities are dropped once checked, and the
+    # final step's rows are the same size in both logs), so K=32 keeps
+    # the log small; K=200 reads the same to 1 B live and 5 B at peak.
+    loggen = load_loggen()
+    use = []
+    for n_steps in (10, 40):
+        log = tmp_path / f"steps{n_steps}.ndjson"
+        log.write_text(loggen.generate_log(0, n_steps=n_steps, groups=8, group_size=4).text)
+        use.append(read_side_memory(str(log)))
+    added = 30 * 1000
+    live, peak = ((more - less) / added for less, more in zip(*use))
+    # Live: three int64s a record, and the ledger's window of transitions.
+    # Peak: the duplicate check's set of (ledger id, step) keys on top.
+    assert live < 40 and peak < 160, (live, peak)
+
+
+def test_select_memory_grows_with_the_final_rows_only(tmp_path):
+    # K=200, 3 steps: 3000 more final ids add 4.8 MB of probability rows.
+    # Targets, masks and entropies are built a block at a time, so the
+    # peak grows by the rows kept and their output, not by several
+    # (rows x K) arrays at once.
+    loggen = load_loggen()
+    peaks = []
+    for n_ids in (1000, 4000):
+        log = tmp_path / f"ids{n_ids}.ndjson"
+        log.write_text(loggen.generate_log(0, n_ids=n_ids, n_steps=3).text)
+        tracemalloc.start()
+        try:
+            code = main(["select", str(log), "--seed", "0", "--out", str(tmp_path / "out")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    rows = 3000 * 200 * 8
+    assert peaks[1] - peaks[0] < 2.5 * rows, peaks
 
 
 class TestCluster:
@@ -575,6 +675,8 @@ class TestSim:
             {"sim": {"k_policy": 5}},
             {"sim": {"k_policy": {"policy": "linear", "alpha": None}}},
             {"sim": {"k_policy": {"policy": "fixed", "k": 2.7}}},
+            # A key the policy does not read.
+            {"sim": {"k_policy": {"policy": "linear", "alpha": 5, "beta": 0.3}}},
             {"sim": {"iters": 1.5}},
             {"sim": {"lr": "x"}},
             {"sim": {"lambda_cos": "x"}},
@@ -606,11 +708,18 @@ class TestSim:
             (["--policy", "fixed", "--k", "99"], "fixed k must be in [2, 32]"),
             (["--policy", "fixed"], "k must be an integer, got None"),
             (["--policy", "linear", "--alpha", "1.0"], "alpha must be >= K/(K-2)"),
+            (["--policy", "fixed", "--k", "3", "--alpha", "5"], "policy fixed reads k, not alpha"),
         ):
             assert main(["sim", *flags]) == EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith(f"config error: sim.k_policy: {message}"), err
             assert err.count("\n") == 1, err
+        # Without --policy the config's policy holds, which reads no flag.
+        for flag, value in (("alpha", "1.0"), ("beta", "0.3"), ("k", "3")):
+            assert main(["sim", f"--{flag}", value, "--iters", "100"]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"config error: --{flag} needs --policy; without it the config's "
+                "sim.k_policy holds\n")
 
     def test_config_not_json(self, tmp_path):
         config = tmp_path / "bad.json"

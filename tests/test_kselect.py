@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soclabel.errors import InvalidConfidence
-from soclabel.kselect import KPolicy, select_k
+from soclabel.kselect import KPolicy, parse_config, select_k
 
 
 class TestLinear:
@@ -162,3 +162,8 @@ def test_from_config():
     assert KPolicy.from_config({"policy": "fixed", "k": 7}, 200).k == 7
     with pytest.raises(ValueError):
         KPolicy.from_config({"policy": "nope"}, 200)
+    # A key the policy does not read, and a NaN parameter, need no K.
+    with pytest.raises(ValueError, match="policy linear reads alpha, not k"):
+        parse_config({"policy": "linear", "alpha": 5.0, "k": 3})
+    with pytest.raises(TypeError, match="beta must be a number, got nan"):
+        parse_config({"policy": "exp", "beta": float("nan")})

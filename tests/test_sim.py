@@ -1,6 +1,8 @@
+import ctypes
 import dataclasses
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,52 @@ class TestAugment:
             augment(np.zeros((1, 2)), "medium", np.random.default_rng(0))
 
 
+# The host the four pinned trajectory digests were made on. The
+# simulator's float bits depend on it: np.exp and np.log give other bits
+# without AVX-512, and the logits product others under another BLAS kernel.
+# The digests hold on hosts with this fingerprint; elsewhere they can fail
+# on correct code.
+PINNED_ON = {
+    "numpy": "2.4.6",
+    "simd": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "blas": "scipy-openblas 0.3.31.188.0",
+    "blas_core": "SkylakeX",
+}
+
+
+def blas_core() -> str:
+    """The CPU core the bundled OpenBLAS picked its kernels for."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(handle, name):
+                getter = getattr(handle, name)
+                getter.restype = ctypes.c_char_p
+                return getter().decode()
+    return "unknown"
+
+
+def host_fingerprint() -> dict:
+    """This host's values of the PINNED_ON fields: numpy's version and the
+    SIMD extensions it uses at run time, and the BLAS build and core."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "simd": " ".join(config["SIMD Extensions"]["found"]),
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_core": blas_core(),
+    }
+
+
+def assert_pinned(digests, pinned):
+    assert digests == pinned, (
+        f"pinned on {PINNED_ON}, running on {host_fingerprint()}; "
+        "the digests hold on hosts with the first fingerprint")
+
+
 class TestTrainingLoop:
     def test_seed_reproducibility(self):
         ds = generate_dataset(SMALL_SPEC)
@@ -215,21 +263,21 @@ class TestTrainingLoop:
         # Without warmup, k-medoids sees partial windows of 3, 5, 6 and 7
         # batches before the window fills.
         # A change to either digest is a change of behaviour.
-        assert self.pinned_run_digests("soc", tmp_path) == (
+        assert_pinned(self.pinned_run_digests("soc", tmp_path), (
             "2a2bc751adb057c7edc647170e92e04f3fa62885a97eb94ab09e65f890c38ed6",
-            "0d8462e2557ba21c00e062fc069eefb48be56b61287a45464d64e14138291b18")
+            "0d8462e2557ba21c00e062fc069eefb48be56b61287a45464d64e14138291b18"))
 
     def test_pinned_fixmatch_trajectory(self, tmp_path):
         # The baselines read no transitions; their runs must not move when
         # the soc arm's tracking or clustering does.
-        assert self.pinned_run_digests("fixmatch", tmp_path) == (
+        assert_pinned(self.pinned_run_digests("fixmatch", tmp_path), (
             "709ec9c6ea068fda5c3ac9cea5c7602d7e35ef5f62d2a8b04e8b8929460749df",
-            "e1e2f65a6ed16a9ad961c314e9d41da9d57df677008e335d6f23484a2ef00487")
+            "e1e2f65a6ed16a9ad961c314e9d41da9d57df677008e335d6f23484a2ef00487"))
 
     def test_pinned_soft_trajectory(self, tmp_path):
-        assert self.pinned_run_digests("soft", tmp_path) == (
+        assert_pinned(self.pinned_run_digests("soft", tmp_path), (
             "25f81cdc27d42fbdf53f42b0be5b288b51b46399fc0e20cb6234f97190418ee5",
-            "2e28ec90997e63dec9b334781c5bac6a68d41596ff55c28bf4ea725eba94622e")
+            "2e28ec90997e63dec9b334781c5bac6a68d41596ff55c28bf4ea725eba94622e"))
 
     def test_pinned_soc_trajectory_k200(self, tmp_path):
         # K=200 in 40 super-classes of 5, the class count of Semi-Aves and
@@ -243,10 +291,11 @@ class TestTrainingLoop:
         csv = tmp_path / "metrics.csv"
         write_metrics_csv(state.history, csv)
         weights = state.model.weights.tobytes() + state.model.bias.tobytes()
-        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-            "086c436fa924015e60c87e72f0cec0f2224130a6a4d7b57936813818a6190501")
-        assert hashlib.sha256(weights).hexdigest() == (
-            "de4b0b60ce1496501fc7f818d0ab034a160247cbb59c1c262490a0e63dd2bdd4")
+        digests = (hashlib.sha256(csv.read_bytes()).hexdigest(),
+                   hashlib.sha256(weights).hexdigest())
+        assert_pinned(digests, (
+            "086c436fa924015e60c87e72f0cec0f2224130a6a4d7b57936813818a6190501",
+            "de4b0b60ce1496501fc7f818d0ab034a160247cbb59c1c262490a0e63dd2bdd4"))
 
     def test_entropy_vs_k_equals_one_k_at_a_time(self):
         # The single pass over every k gives each k's mean bit for bit as
