@@ -22,6 +22,8 @@ from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
 from .kselect import KPolicy, parse_config, select_k
 from .losses import softmax
 from .sim import (
+    BASELINES,
+    SimConfig,
     build_targets,
     config_from_dict,
     entropy_vs_k,
@@ -66,7 +68,9 @@ def _parse_record(line: str, lineno: int, n_classes, index: dict, seen: set):
         rec = json.loads(line)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {lineno}: malformed JSON ({exc.msg})") from exc
-    except ValueError as exc:  # an integer past Python's digit limit
+    # An integer past Python's digit limit, or arrays or objects nested past
+    # its recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"line {lineno}: malformed JSON ({exc})") from exc
     if not isinstance(rec, dict) or rec.get("schema") != LOG_SCHEMA:
         raise SchemaError(f"line {lineno}: expected schema {LOG_SCHEMA!r}")
@@ -80,7 +84,17 @@ def _parse_record(line: str, lineno: int, n_classes, index: dict, seen: set):
             raise TypeError(f"step must be an integer, got {step!r}")
         if not -2**63 <= step < 2**63:  # records keep steps as int64
             raise ValueError(f"step must be in [-2**63, 2**63), got {step}")
-        probs = np.asarray(rec["probs"], dtype=float)
+        values = rec["probs"]
+        probs = np.asarray(values, dtype=float)
+        # asarray takes a string such as "0.5", true and false as numbers,
+        # and null as NaN. A string element puts a quote after the line's
+        # first "[", true and null hold a "u", and false an "f"; the
+        # elements of any other line need no look one by one.
+        suspect = line.find('"', line.find("[")) >= 0 or "u" in line or "f" in line
+        if suspect and type(values) is list:
+            for value in values:
+                if type(value) in (str, bool, type(None)):
+                    raise TypeError(f"probs must hold numbers, got {value!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
     if n_classes is not None and probs.size != n_classes:
@@ -126,7 +140,7 @@ def _read_log(path: str):
             return
         linenos, ids, steps, raw = zip(*block)
         block.clear()
-        raw = np.stack(raw)
+        raw = np.array(raw)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = raw / raw.sum(axis=1, keepdims=True)
         try:
@@ -308,44 +322,37 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _load_config(path) -> dict:
-    """The parsed JSON config file, or {} without one."""
+def _load_config(path):
+    """The parsed JSON config file, or {} without one; config_from_dict
+    checks what it holds."""
     if not path:
         return {}
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not all(
-        isinstance(raw.get(section, {}), dict) for section in ("sim", "dataset")
-    ):
-        raise ConfigError("config root and its sim and dataset sections must be objects")
-    return raw
+        except RecursionError as exc:
+            raise ConfigError(f"config nests too deeply ({exc})") from exc
 
 
 def cmd_sim(args) -> int:
     raw = _load_config(args.config)
-    sim_raw = raw.setdefault("sim", {})
-    if args.baseline:
-        sim_raw["baseline"] = args.baseline
-    if args.tau is not None:
-        sim_raw["tau"] = args.tau
-    if args.policy:
-        sim_raw["k_policy"] = _policy_config(args)
-    elif stray := _policy_flags(args):
+    if not args.policy and (stray := _policy_flags(args)):
         raise ConfigError(f"--{stray[0]} needs --policy; without it "
                           "the config's sim.k_policy holds")
-    if args.seed is not None:
-        sim_raw["seed"] = args.seed
-    if args.nb is not None:
-        sim_raw["window"] = args.nb
-    if args.iters is not None:
-        sim_raw["iters"] = args.iters
-
-    config, spec = config_from_dict(raw)
+    flags = {
+        "baseline": args.baseline,
+        "tau": args.tau,
+        "k_policy": _policy_config(args) if args.policy else None,
+        "seed": args.seed,
+        "window": args.nb,
+        "iters": args.iters,
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config, spec = config_from_dict(raw, overrides)
     for path in filter(None, (args.out, args.pairs_out)):
         _check_out(path)
     dataset = generate_dataset(spec)
@@ -437,21 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="replay a prediction log and select soft labels")
     p.add_argument("log")
     add_policy_flags(p)
-    p.add_argument("--nb", type=int, default=512, help="transition window size")
+    p.add_argument("--nb", type=int, default=SimConfig.window, help="transition window size")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("cluster", help="cluster the class space of a prediction log")
     p.add_argument("log")
     add_policy_flags(p)
-    p.add_argument("--nb", type=int, default=512)
+    p.add_argument("--nb", type=int, default=SimConfig.window)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sim", help="run the training simulator")
     p.add_argument("--config", default=None, help="JSON config file")
     # The config's sim.k_policy holds unless --policy is given.
     add_policy_flags(p)
-    p.add_argument("--baseline", choices=["soc", "fixmatch", "soft"], default=None)
+    p.add_argument("--baseline", choices=BASELINES, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--nb", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import labels as lb
-from .clustering import candidate_mask, cluster_labels, select_targets
+from .clustering import candidate_mask, partitions, select_targets
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
@@ -195,14 +195,6 @@ class MetricsRow:
     mean_zobj1: float
     mean_zobj2: float
     k_mean: float
-
-    CSV_HEADER = "iter,test_top1,pl_acc,mean_entropy_sel,mean_entropy_raw,mean_zobj1,mean_zobj2,k_mean"
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.iter},{self.test_top1},{self.pl_acc},{self.mean_entropy_sel},"
-            f"{self.mean_entropy_raw},{self.mean_zobj1},{self.mean_zobj2},{self.k_mean}"
-        )
 
 
 @dataclass
@@ -427,10 +419,12 @@ def final_score(history: list) -> float:
 
 
 def write_metrics_csv(history: list, path) -> None:
+    """history as CSV: MetricsRow's field names, then each row's values."""
+    names = [f.name for f in fields(MetricsRow)]
     with open(path, "w") as fh:
-        fh.write(MetricsRow.CSV_HEADER + "\n")
+        fh.write(",".join(names) + "\n")
         for row in history:
-            fh.write(row.csv_row() + "\n")
+            fh.write(",".join(str(getattr(row, name)) for name in names) + "\n")
 
 
 def entropy_vs_k(
@@ -442,41 +436,46 @@ def entropy_vs_k(
     subset: int | None = None,
 ) -> list[float]:
     """Mean selected-label entropy over the unlabeled set for each fixed k,
-    against one frozen ledger. Every k is clustered once, in one
-    cluster_labels call, whose row for k is a lone k's partition; the rows
-    are then taken EVAL_BLOCK at a time and restricted per k, so memory
-    does not grow with len(ks)."""
+    against one frozen ledger. Every distinct k is clustered once, by
+    clustering.partitions, into a lone k's partition; the rows are then
+    taken EVAL_BLOCK at a time and restricted per k, so memory does not
+    grow with len(ks)."""
     x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
-    labels_by_k, _, _ = cluster_labels(ledger.similarity_matrix(), ks, seed)
+    labels_by_k, which = partitions(ledger.similarity_matrix(), ks, seed)
     entropies = np.empty((len(ks), x.shape[0]))
     for start, logits in logit_blocks(model, x):
         probs = softmax(logits)
         pnorm = probs / probs.sum(axis=1, keepdims=True)
         top = pnorm.argmax(axis=1)
-        for row in range(len(ks)):
-            targets = lb.restrict(pnorm, candidate_mask(labels_by_k, row, top))
+        for row, part in enumerate(which.tolist()):
+            targets = lb.restrict(pnorm, candidate_mask(labels_by_k, part, top))
             entropies[row, start:start + len(pnorm)] = lb.entropy(targets)
     # Each k's mean over its own contiguous row, as a lone k's run takes it.
     return [float(np.mean(row)) for row in entropies]
 
 
 # ---------------------------------------------------------------------------
-# config file parsing (CLI)
+# config parsing
 
 
-def config_from_dict(raw: dict) -> tuple[SimConfig, SyntheticDatasetSpec]:
+def config_from_dict(
+    raw: dict, overrides: dict | None = None
+) -> tuple[SimConfig, SyntheticDatasetSpec]:
     """Build (SimConfig, SyntheticDatasetSpec) from a parsed JSON config.
+    The fields of overrides, such as the CLI's flags, replace the config's
+    sim fields of the same name.
 
     Raises ConfigError naming the offending field.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
+    if not isinstance(raw, dict) or not all(
+        isinstance(raw.get(section, {}), dict) for section in ("sim", "dataset")
+    ):
+        raise ConfigError("config root and its sim and dataset sections must be objects")
     try:
-        ds_raw = dict(raw.get("dataset", {}))
-        spec = SyntheticDatasetSpec(**ds_raw)
+        spec = SyntheticDatasetSpec(**raw.get("dataset", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
-    sim_raw = dict(raw.get("sim", {}))
+    sim_raw = {**raw.get("sim", {}), **(overrides or {})}
     policy_raw = sim_raw.pop("k_policy", {"policy": "linear", "alpha": 5.0})
     try:
         policy = KPolicy.from_config(policy_raw, spec.n_classes)

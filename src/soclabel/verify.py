@@ -119,8 +119,9 @@ def suite_theorem1(trials: int = 1000, seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_krange(grid: int = 1000, seed: int = 0) -> SuiteResult:
-    """All policies stay in {2..K} and are monotone in confidence."""
+def suite_krange(trials: int = 1000, seed: int = 0) -> SuiteResult:
+    """All policies stay in {2..K} and are monotone in confidence, over a
+    grid of trials confidences."""
     res = SuiteResult("krange", 0, 0)
     for K in (10, 200):
         policies = [KPolicy.linear(a, K) for a in (K / (K - 2), 2, 5, 10)]
@@ -128,7 +129,7 @@ def suite_krange(grid: int = 1000, seed: int = 0) -> SuiteResult:
             KPolicy.exponential(b, K)
             for b in (math.log(1.2), math.log(1.4), math.log(1.8), math.log(2 - 2 / K))
         ]
-        confidences = np.linspace(1 / K, 1.0, grid)
+        confidences = np.linspace(1 / K, 1.0, trials)
         for policy in policies:
             ks = select_k(policy, confidences)
             in_range = bool(np.all((ks >= 2) & (ks <= K)))
@@ -282,10 +283,5 @@ SUITES = {
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
     names = list(SUITES) if name == "all" else [name]
-    out = []
-    for n in names:
-        kwargs = {"seed": seed}
-        if trials is not None and n not in ("krange",):
-            kwargs["trials"] = trials
-        out.append(SUITES[n](**kwargs))
-    return out
+    kwargs = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
+    return [SUITES[n](**kwargs) for n in names]

@@ -79,7 +79,7 @@ class TestEntropyReduction:
 
 class TestKSelection:
     def test_krange_grid_and_pinned_values(self, capsys):
-        res = suite_krange(grid=1000, seed=0)
+        res = suite_krange(trials=1000, seed=0)
         report(capsys, "k-range grid", res.ok, f"{res.passed}/{res.total}")
 
 

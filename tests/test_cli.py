@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclabel import cli, sim
+from soclabel import cli, sim, verify
 from soclabel import labels as lb
 from soclabel.cli import (
     EXIT_DATA,
@@ -217,6 +217,41 @@ class TestLogErrors:
             if message:
                 assert err == f"data error: line 2: bad record fields ({message})\n"
 
+    def test_probs_hold_json_numbers_only(self, tmp_path, capsys):
+        # np.asarray would read a numeric string and true as numbers, and
+        # null as NaN.
+        log = tmp_path / "types.ndjson"
+        line = '{"schema": "soc-log-v1", "id": "%s", "step": 0, "probs": %s}\n'
+        for probs, bad in (('["0.5", "0.25", "0.25"]', "'0.5'"),
+                           ("[true, false, false]", "True"),
+                           ("[0.5, true, 0.5]", "True"),
+                           ("[0.5, 0.5, false]", "False"),
+                           ("[0.5, null, 0.5]", "None")):
+            log.write_text(line % ("a", "[0.5, 0.25, 0.25]") + line % ("b", probs))
+            assert main(["select", str(log)]) == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"data error: line 2: bad record fields (probs must hold numbers, got {bad})\n")
+        # JSON integers are numbers, and a line whose id holds a "u", an
+        # "f" and quotes has its elements looked at one by one, and passes.
+        log.write_text(line % ("a", "[1, 0, 0]") + line % ('fu\\"', "[0.5, 0.25, 0.25]"))
+        assert main(["select", str(log)]) == EXIT_OK
+        capsys.readouterr()
+
+    def test_deep_nesting_is_malformed_json(self, tmp_path, capsys):
+        # json.loads raises RecursionError past about 1000 levels.
+        deep = "[" * 100_000 + "]" * 100_000
+        log = tmp_path / "deep.ndjson"
+        good = '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": [0.5, 0.5]}\n'
+        for bad in (deep,
+                    '{"schema": "soc-log-v1", "id": "b", "step": 0, "probs": %s}' % deep,
+                    '{"schema": "soc-log-v1", "id": "b", "step": 0, "x": %s}' % deep):
+            log.write_text(good + bad + "\n")
+            for command in ("select", "cluster"):
+                assert main([command, str(log)]) == EXIT_DATA
+                err = capsys.readouterr().err
+                assert err.startswith("data error: line 2: malformed JSON (maximum recursion")
+                assert err.count("\n") == 1
+
     def test_line_not_utf8_reports_number(self, tmp_path, capsys):
         # The first undecodable line is named, whether it is the first
         # line or follows good ones; a good line after it changes nothing.
@@ -313,6 +348,10 @@ def reference_read_log(path: str):
                 if not -2**63 <= step < 2**63:
                     raise ValueError(f"step must be in [-2**63, 2**63), got {step}")
                 probs = np.asarray(rec["probs"], dtype=float)
+                # JSON numbers only: asarray would take "0.5", true and null.
+                for value in rec["probs"] if isinstance(rec["probs"], list) else ():
+                    if type(value) in (str, bool, type(None)):
+                        raise TypeError(f"probs must hold numbers, got {value!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
             if n_classes is None:
@@ -341,8 +380,8 @@ def reference_read_log(path: str):
 
 
 PROB_FAULTS = ("nan", "inf", "-inf", "negative", "zero_row", "overflow", "nested")
-LINE_FAULTS = ("string_probs", "missing_field", "field_types", "k_mismatch", "duplicate",
-               "schema", "malformed")
+LINE_FAULTS = ("string_probs", "non_numbers", "missing_field", "field_types", "k_mismatch",
+               "duplicate", "schema", "malformed")
 
 
 def valid_rows(rng, n, K):
@@ -378,6 +417,11 @@ def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
         rec["probs"] = [probs]
     elif kind == "string_probs":
         rec["probs"] = ["abc", "0.5", ["x"] * K][j % 3]
+    elif kind == "non_numbers":
+        if j % 4 == 3:
+            rec["probs"] = [c == j for c in range(K)]
+        else:
+            probs[j] = (str(probs[j]), True, None)[j % 4]
     elif kind == "missing_field":
         del rec[("schema", "id", "step", "probs")[j % 4]]
     elif kind == "field_types":
@@ -726,6 +770,18 @@ class TestSim:
         config.write_text("{")
         assert main(["sim", "--config", str(config)]) == EXIT_USAGE
 
+    def test_deeply_nested_config_exits_usage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+        deep = "[" * 100_000 + "]" * 100_000
+        config = tmp_path / "deep.json"
+        for text in (deep, '{"sim": %s}' % deep):
+            config.write_text(text)
+            for command in ("sim", "entropy-sweep"):
+                assert main([command, "--config", str(config)]) == EXIT_USAGE
+                err = capsys.readouterr().err
+                assert err.startswith("config error: config nests too deeply (")
+                assert err.count("\n") == 1
+
     def test_config_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_bytes(b"\xff\xfe{}")
@@ -826,6 +882,19 @@ class TestVerify:
             main(["verify", "nonsense"])
         assert exc.value.code == EXIT_USAGE
         assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+
+    def test_trials_reach_krange(self, monkeypatch, capsys):
+        # krange's trials are its confidence grid's size.
+        calls = []
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return verify.SuiteResult("krange", 1, 1)
+
+        monkeypatch.setitem(verify.SUITES, "krange", spy)
+        assert main(["verify", "krange", "--trials", "5", "--seed", "3"]) == EXIT_OK
+        assert calls == [{"trials": 5, "seed": 3}]
+        assert capsys.readouterr().out == "krange: 1/1 pass\n"
 
     def test_trials_below_one_exits_usage(self, capsys):
         for suite, trials in (("lemma1", "-3"), ("cluster", "0")):

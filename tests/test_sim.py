@@ -446,3 +446,18 @@ class TestConfigParsing:
     def test_baseline_validation(self):
         with pytest.raises(ConfigError):
             config_from_dict({"sim": {"baseline": "mystery"}})
+
+    def test_root_and_sections_must_be_objects(self):
+        # dict() would take a list of pairs, and fail on None with a TypeError.
+        for raw in ({"sim": None}, {"sim": [["iters", 5]]}, {"dataset": [["seed", 1]]},
+                    [["sim", {}]], None):
+            with pytest.raises(ConfigError, match="must be objects"):
+                config_from_dict(raw)
+
+    def test_overrides_replace_sim_fields(self):
+        raw = {"sim": {"iters": 5, "tau": 0.5, "k_policy": {"policy": "fixed", "k": 4}}}
+        config, _ = config_from_dict(raw, {"iters": 7, "k_policy": {"policy": "fixed", "k": 3}})
+        assert (config.iters, config.tau, config.k_policy.k) == (7, 0.5, 3)
+        assert raw["sim"]["iters"] == 5
+        with pytest.raises(ConfigError, match="iters"):
+            config_from_dict({}, {"iters": 0})
