@@ -2,8 +2,9 @@
 inspection, simulation runs, and invariant verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
-unwritable output path included), 3 data error, 141 stdout closed by its
-reader (128 + SIGPIPE, as shells report it).
+unwritable output path and an unreadable config file included), 3 data
+error (an unreadable log included), 141 stdout closed by its reader
+(128 + SIGPIPE, as shells report it).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import labels as lb
-from .clustering import candidate_mask, cluster_labels, partitions
+from .clustering import BLOCK_ELEMENTS, candidate_mask, cluster_labels, partitions
 from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
 from .kselect import KPolicy, parse_config, select_k
 from .losses import softmax
@@ -47,8 +48,7 @@ EXIT_PIPE = 141
 
 # Rows are normalized, checked and reduced to their argmax this many at a
 # time: one array pass per block instead of one per record, with the block
-# small next to the final step's rows. `select` builds its output in blocks
-# of the same size.
+# small next to the final step's rows.
 READ_BLOCK = 256
 
 
@@ -156,7 +156,11 @@ def _read_log(path: str):
         if keep.any():
             final_parts.append(rows[keep])
 
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        fh = open(path, encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -272,10 +276,12 @@ def cmd_select(args) -> int:
     final_ids = [names[i] for i in ids[steps == steps.max()].tolist()]
     sink = _open_out(args.out) if args.out else contextlib.nullcontext(sys.stdout)
     # Each row's partition, target and entropies are its own, so the rows
-    # are taken READ_BLOCK at a time with the bytes of one pass over all.
+    # are taken a block of at most BLOCK_ELEMENTS values at a time, with the
+    # bytes of one pass over all.
+    step = max(1, BLOCK_ELEMENTS // n_classes)
     with sink as out:
-        for start in range(0, len(probs), READ_BLOCK):
-            rows = slice(start, start + READ_BLOCK)
+        for start in range(0, len(probs), step):
+            rows = slice(start, start + step)
             pnorm = probs[rows]
             mask = candidate_mask(labels_by_k, which[rows], pnorm.argmax(axis=1))
             targets = lb.restrict(pnorm, mask)
@@ -326,7 +332,11 @@ def _load_config(path):
     checks what it holds."""
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         try:
             return json.load(fh)
         except UnicodeDecodeError as exc:
@@ -499,9 +509,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except SocLabelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

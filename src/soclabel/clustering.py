@@ -15,6 +15,15 @@ from .errors import InvalidK
 from .labels import restrict
 
 
+# The element budget of each temporary (rows, K) array of the lockstep
+# pass, of its medoid gather and of `soclabel select`'s output blocks:
+# 2**14 float64s, 128 KiB, glibc's default mmap threshold. Larger blocks
+# are served from the heap and leave it grown: on a K=200 log, `select`'s
+# resident memory crept from 41.3 to 42.7 MB across four 256-row output
+# blocks, and stayed flat with 64-row ones.
+BLOCK_ELEMENTS = 2**14
+
+
 def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     """Each class's cluster under every row of medoids: (K,) for one row,
     (K, rows) for a 2-D medoids array."""
@@ -23,6 +32,36 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     medoids = np.asarray(medoids)
     picked = sim.take(medoids.ravel(), axis=1)
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
+
+
+def _gather_groups(ks: np.ndarray, n: int) -> list[tuple[slice, int]]:
+    """Runs of consecutive partitions for _assign, as (rows, width): the
+    rows' first `width` medoid columns, width being their largest k, with
+    n * rows * width within BLOCK_ELEMENTS unless the run is one partition.
+
+    Each run gathers up to its own largest k, not the call's: on the K=200
+    training calls of ROADMAP item 2 (about 19 ks), runs of a fixed
+    BLOCK_ELEMENTS // (n * max(ks)) partitions made a call 12% slower, and
+    these 2-4%."""
+    groups, lo, width = [], 0, 0
+    for hi, k in enumerate(ks.tolist()):
+        if hi > lo and n * (hi + 1 - lo) * max(width, k) > BLOCK_ELEMENTS:
+            groups.append((slice(lo, hi), width))
+            lo, width = hi, 0
+        width = max(width, k)
+    groups.append((slice(lo, len(ks)), width))
+    return groups
+
+
+def _assign_rows(sim: np.ndarray, medoids: np.ndarray, groups) -> np.ndarray:
+    """_assign of every medoid row, transposed to (rows, K): in one gather
+    when groups is None, else one per _gather_groups run. A row's medoids
+    are sorted with the sentinels last, so its first width columns hold
+    every real one, and the argmax picks what it would over the full row."""
+    if groups is None:
+        return _assign(sim, medoids).T
+    return np.concatenate([_assign(sim, medoids[rows, :width]) for rows, width in groups],
+                          axis=1).T
 
 
 def cluster_labels(
@@ -53,9 +92,10 @@ def cluster_labels(
     Lockstep: every k runs in the same pass. The matrix is checked once,
     and every k is seeded from the same permutation. Each k's medoid row
     is padded to the largest k with a sentinel column of -inf similarity,
-    which no argmax picks and which sorts after every class. One matrix
-    product updates the medoids of every k; its one-hot spans only the
-    sum(ks) real clusters, since no class joins a padded one. Every k
+    which no argmax picks and which sorts after every class. Matrix
+    products update the medoids of every k; their one-hots span only the
+    sum(ks) real clusters, since no class joins a padded one, taken
+    BLOCK_ELEMENTS // K at a time. Every k
     iterates until all are fixed. A k at its fixed point maps to itself,
     so the passes after it leave its row as a pass over that k alone
     would have stopped it, and the rules above apply to each cluster on
@@ -99,25 +139,35 @@ def cluster_labels(
     # partition rows[q]. Padded clusters would stay empty, so the member
     # one-hot leaves them out.
     rows, cols = np.nonzero(real)
+    # The pass over them takes BLOCK_ELEMENTS // n clusters at a time; at
+    # K=32 a training call's clusters fit in one block, left unsliced.
+    step = max(1, BLOCK_ELEMENTS // n)
+    blocks = [(rows, cols)] if rows.size <= step else [
+        (rows[lo:lo + step], cols[lo:lo + step]) for lo in range(0, rows.size, step)]
     # Row r: the first ks[r] entries of one permutation, sorted, then n.
     first = np.random.default_rng(seed).permutation(n)[:kmax]
     medoids = np.sort(np.where(real, first, n), axis=1)
+    # _assign's gather spans K x (partitions x largest k) values; beyond
+    # BLOCK_ELEMENTS it is taken a run of partitions at a time. At K=32 a
+    # training call's fits in one.
+    groups = None if n * medoids.size <= BLOCK_ELEMENTS else _gather_groups(ks, n)
     # assignment[r, c] is class c's cluster in partition r.
-    assignment = _assign(padded, medoids).T
+    assignment = _assign_rows(padded, medoids, groups)
     for _ in range(max_iter):
-        # member[q, c]: class c is in real cluster q. within[q, c] is its
-        # similarity sum over that cluster if it is a member, else -inf;
-        # argmax takes a row's first maximum, the lowest index.
-        member = assignment[rows] == cols[:, None]
-        within = np.where(member, member @ sim_zero_diag.T, -np.inf)
         new = np.full_like(medoids, n)
-        new[rows, cols] = within.argmax(axis=1)
+        for block_rows, block_cols in blocks:
+            # member[q, c]: class c is in real cluster q. within[q, c] is its
+            # similarity sum over that cluster if it is a member, else -inf;
+            # argmax takes a row's first maximum, the lowest index.
+            member = assignment[block_rows] == block_cols[:, None]
+            within = np.where(member, member @ sim_zero_diag.T, -np.inf)
+            new[block_rows, block_cols] = within.argmax(axis=1)
         new.sort(axis=1)
         converged = (new == medoids).all(axis=1)
         if converged.all():
             break
         medoids = new
-        assignment = _assign(padded, medoids).T
+        assignment = _assign_rows(padded, medoids, groups)
     # At max_iter, the latest assignment, and a row is converged if its
     # last pass left it fixed.
     return assignment, medoids, converged

@@ -97,8 +97,9 @@ class TransitionLedger:
 
     def similarity_matrix(self) -> np.ndarray:
         """The window's symmetrized counts C + C^T as floats, with a MAX_SIM
-        diagonal."""
-        sim = (self.running_sum + self.running_sum.T).astype(float)
+        diagonal. The sum is taken in float64 without an int64 temporary;
+        it is exact for counts below 2**53."""
+        sim = np.add(self.running_sum, self.running_sum.T, dtype=float)
         np.fill_diagonal(sim, MAX_SIM)
         return sim
 

@@ -26,7 +26,9 @@ from soclabel.cli import (
     _read_log,
     main,
 )
+from soclabel.clustering import cluster_labels
 from soclabel.errors import SchemaError
+from soclabel.kselect import select_k
 from soclabel.losses import softmax
 from soclabel.sim import EVAL_BLOCK
 
@@ -173,6 +175,18 @@ class TestLogErrors:
 
     def test_missing_file(self):
         assert main(["select", "/nonexistent/log.ndjson"]) == EXIT_DATA
+
+    def test_unreadable_log(self, tmp_path, capsys, monkeypatch):
+        def assert_cannot_read(path, reason):
+            for command in ("select", "cluster"):
+                assert main([command, path]) == EXIT_DATA
+                assert capsys.readouterr().err == f"data error: cannot read {path}: {reason}\n"
+
+        assert_cannot_read("/nonexistent/log.ndjson", "No such file or directory")
+        assert_cannot_read(str(tmp_path), "Is a directory")
+        # The tests may run as root, whom file modes do not stop.
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert_cannot_read(TOY_LOG, "Permission denied")
 
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         log = tmp_path / "bad.ndjson"
@@ -594,6 +608,41 @@ def test_select_memory_grows_with_the_final_rows_only(tmp_path):
     assert peaks[1] - peaks[0] < 2.5 * rows, peaks
 
 
+def test_k200_clustering_call_memory(tmp_path):
+    # generate_log(0)'s final step asks for 24 distinct ks up to k=29, 375
+    # real clusters. Each lockstep pass and each medoid gather is built a
+    # slice of BLOCK_ELEMENTS at a time, so the call holds little beyond
+    # its two K x K copies (640 KB); in one pass it peaked at 2.6 MB.
+    log = tmp_path / "k200.ndjson"
+    log.write_text(load_loggen().generate_log(0).text)
+    records, _, probs, n_classes = _read_log(str(log))
+    sim_matrix = cli._replay(records, n_classes, 512).similarity_matrix()
+    policy = cli._policy({"policy": "linear", "alpha": 5.0}, n_classes)
+    ks = sorted(set(select_k(policy, probs.max(axis=1)).tolist()))
+    assert (len(ks), max(ks), sum(ks)) == (24, 29, 375)
+    tracemalloc.start()
+    try:
+        cluster_labels(sim_matrix, ks, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_200_000, peak
+
+
+def test_select_output_does_not_depend_on_its_blocks(tmp_path, monkeypatch):
+    # K=200 with 300 final rows: 81-row output blocks by default, one row or
+    # one block of all rows here.
+    log = tmp_path / "k200.ndjson"
+    log.write_text(load_loggen().generate_log(3, n_ids=300, n_steps=3).text)
+    outputs = []
+    for budget in (cli.BLOCK_ELEMENTS, 200, 10**9):
+        monkeypatch.setattr(cli, "BLOCK_ELEMENTS", budget)
+        code, out = run_select(tmp_path, log=str(log))
+        assert code == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestCluster:
     def test_golden_output(self, capsys):
         for flags, golden in GOLDEN_CLUSTER.items():
@@ -781,6 +830,21 @@ class TestSim:
                 assert err.startswith("config error: config nests too deeply (")
                 assert err.count("\n") == 1
 
+    def test_unreadable_config_exits_usage(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run", no_training)
+
+        def assert_cannot_read(path, reason):
+            for command in ("sim", "entropy-sweep"):
+                assert main([command, "--config", path]) == EXIT_USAGE
+                assert capsys.readouterr().err == f"config error: cannot read {path}: {reason}\n"
+
+        assert_cannot_read(str(tmp_path / "missing.json"), "No such file or directory")
+        assert_cannot_read(str(tmp_path), "Is a directory")
+        config = tmp_path / "ok.json"
+        config.write_text("{}")
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert_cannot_read(str(config), "Permission denied")
+
     def test_config_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_bytes(b"\xff\xfe{}")
@@ -792,6 +856,11 @@ class TestSim:
 
 def no_training(*args):
     raise AssertionError("trained before checking the arguments")
+
+
+def denied(path, *args, **kwargs):
+    """open() on a file its reader may not read."""
+    raise PermissionError(13, "Permission denied", path)
 
 
 class TestOutputPath:

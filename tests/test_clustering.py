@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from soclabel import clustering
 from soclabel.clustering import _assign, cluster_labels, select_targets
 from soclabel.errors import InvalidK
 from soclabel.transitions import MAX_SIM, TransitionLedger
@@ -286,6 +288,35 @@ class TestClusterLabels:
         sim = ledger_similarity(rng, 200, window, n_batches)
         ks = rng.choice(np.arange(2, 29), size=17, replace=False).tolist()
         self.assert_rows_match_reference(sim, ks, seed, max_iter)
+
+    @given(
+        K=st.sampled_from([4, 32, 200]),
+        kind=st.sampled_from(["ledger", "small", "duplicated", "negative"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        per_frac=st.floats(0, 1, exclude_max=True),
+        ascending=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sliced_passes(self, K, kind, data_seed, seed, per_frac, ascending):
+        # A budget of `per` rows of K elements, with per below the number
+        # of real clusters, so below len(ks) * max(ks): every lockstep pass
+        # and every medoid gather take several slices, and each row is
+        # still its k's alone.
+        rng = np.random.default_rng(data_seed)
+        if kind == "ledger":
+            sim = ledger_similarity(rng, K, 512, int(rng.integers(1, 513)))
+        else:
+            sim = tie_heavy_similarity(rng, kind, K)
+        ks = self.distinct_ks(rng, K)
+        if len(ks) == 1:
+            ks.append(next(k for k in range(2, K + 1) if k != ks[0]))
+        if ascending:  # as partitions passes them
+            ks.sort()
+        per = 1 + int(per_frac * (sum(ks) - 1))
+        with mock.patch.object(clustering, "BLOCK_ELEMENTS", per * K):
+            for max_iter in (1, 2, 3, 100):
+                self.assert_rows_match_reference(sim, ks, seed, max_iter)
 
     def test_empty_cluster_raises(self):
         # Under a zero diagonal each class could leave its own medoid, and
