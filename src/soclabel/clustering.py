@@ -34,33 +34,17 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
 
 
-def _gather_groups(ks: np.ndarray, n: int) -> list[tuple[slice, int]]:
-    """Runs of consecutive partitions for _assign, as (rows, width): the
-    rows' first `width` medoid columns, width being their largest k, with
-    n * rows * width within BLOCK_ELEMENTS unless the run is one partition.
-
-    Each run gathers up to its own largest k, not the call's: on the K=200
-    training calls of ROADMAP item 2 (about 19 ks), runs of a fixed
-    BLOCK_ELEMENTS // (n * max(ks)) partitions made a call 12% slower, and
-    these 2-4%."""
-    groups, lo, width = [], 0, 0
-    for hi, k in enumerate(ks.tolist()):
-        if hi > lo and n * (hi + 1 - lo) * max(width, k) > BLOCK_ELEMENTS:
-            groups.append((slice(lo, hi), width))
-            lo, width = hi, 0
-        width = max(width, k)
-    groups.append((slice(lo, len(ks)), width))
-    return groups
-
-
-def _assign_rows(sim: np.ndarray, medoids: np.ndarray, groups) -> np.ndarray:
-    """_assign of every medoid row, transposed to (rows, K): in one gather
-    when groups is None, else one per _gather_groups run. A row's medoids
-    are sorted with the sentinels last, so its first width columns hold
-    every real one, and the argmax picks what it would over the full row."""
-    if groups is None:
+def _assign_rows(sim: np.ndarray, medoids: np.ndarray) -> np.ndarray:
+    """_assign of every medoid row, transposed to (rows, K). The gather
+    spans K x (rows x width) values; beyond BLOCK_ELEMENTS it is taken
+    max(1, BLOCK_ELEMENTS // (K * width)) rows at a time. At K=32 a
+    training call's fits in one, taken without the concatenate copy,
+    which cost 4% of such a call."""
+    rows, width = medoids.shape
+    per = max(1, BLOCK_ELEMENTS // (sim.shape[0] * width))
+    if per >= rows:
         return _assign(sim, medoids).T
-    return np.concatenate([_assign(sim, medoids[rows, :width]) for rows, width in groups],
+    return np.concatenate([_assign(sim, medoids[lo:lo + per]) for lo in range(0, rows, per)],
                           axis=1).T
 
 
@@ -140,19 +124,14 @@ def cluster_labels(
     # one-hot leaves them out.
     rows, cols = np.nonzero(real)
     # The pass over them takes BLOCK_ELEMENTS // n clusters at a time; at
-    # K=32 a training call's clusters fit in one block, left unsliced.
+    # K=32 a training call's clusters fit in one block.
     step = max(1, BLOCK_ELEMENTS // n)
-    blocks = [(rows, cols)] if rows.size <= step else [
-        (rows[lo:lo + step], cols[lo:lo + step]) for lo in range(0, rows.size, step)]
+    blocks = [(rows[lo:lo + step], cols[lo:lo + step]) for lo in range(0, rows.size, step)]
     # Row r: the first ks[r] entries of one permutation, sorted, then n.
     first = np.random.default_rng(seed).permutation(n)[:kmax]
     medoids = np.sort(np.where(real, first, n), axis=1)
-    # _assign's gather spans K x (partitions x largest k) values; beyond
-    # BLOCK_ELEMENTS it is taken a run of partitions at a time. At K=32 a
-    # training call's fits in one.
-    groups = None if n * medoids.size <= BLOCK_ELEMENTS else _gather_groups(ks, n)
     # assignment[r, c] is class c's cluster in partition r.
-    assignment = _assign_rows(padded, medoids, groups)
+    assignment = _assign_rows(padded, medoids)
     for _ in range(max_iter):
         new = np.full_like(medoids, n)
         for block_rows, block_cols in blocks:
@@ -167,7 +146,7 @@ def cluster_labels(
         if converged.all():
             break
         medoids = new
-        assignment = _assign_rows(padded, medoids, groups)
+        assignment = _assign_rows(padded, medoids)
     # At max_iter, the latest assignment, and a row is converged if its
     # last pass left it fixed.
     return assignment, medoids, converged
