@@ -2,9 +2,9 @@
 inspection, simulation runs, and invariant verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
-unwritable output path and an unreadable config file included), 3 data
-error (an unreadable log included), 141 stdout closed by its reader
-(128 + SIGPIPE, as shells report it).
+output file or stdout that cannot be opened or written, and an unreadable
+config file, included), 3 data error (an unreadable log included), 141
+stdout closed by its reader (128 + SIGPIPE, as shells report it).
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ EXIT_PIPE = 141
 READ_BLOCK = 256
 
 
-def _parse_record(line: str, lineno: int, n_classes, index: dict, seen: set):
-    """The (ledger id, step, probs) of one log line, after every check that
-    needs only that line; raises SchemaError naming the line. A new string
-    id is added to index, which maps each id to its ledger id, the ids
-    numbered in order of first appearance."""
+def _parse_record(line: str, lineno: int, n_classes, index: dict):
+    """The (ledger id, step, probs) of one log line, after its UTF-8, JSON,
+    schema, fields and K are checked; raises SchemaError naming the line.
+    A new string id is added to index, which maps each id to its ledger
+    id, the ids numbered in order of first appearance."""
     # The log is read with surrogateescape, which turns bytes that are not
     # UTF-8 into lone surrogates; those cannot be encoded back.
     if not line.isascii():
@@ -98,13 +98,20 @@ def _parse_record(line: str, lineno: int, n_classes, index: dict, seen: set):
         raise SchemaError(f"line {lineno}: bad record fields ({exc})") from exc
     if n_classes is not None and probs.size != n_classes:
         raise SchemaError(f"line {lineno}: K mismatch ({probs.size} != {n_classes})")
-    ledger_id = index.setdefault(sample_id, len(index))
-    if (ledger_id, step) in seen:
-        raise SchemaError(f"line {lineno}: duplicate (id, step)")
-    if probs.ndim != 1:
-        raise SchemaError(f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")
-    seen.add((ledger_id, step))
-    return ledger_id, step, probs
+    return index.setdefault(sample_id, len(index)), step, probs
+
+
+def _check_keys(table, through=None) -> None:
+    """Raise the duplicate (id, step) error of the first record whose
+    (step, ledger id) an earlier record has, unless there is none or its
+    line comes after line `through`. table is a (4, n) int64 array of
+    each record's step, ledger id, argmax and line number, in file order."""
+    steps, ids, _, lines = table
+    order = np.lexsort((steps, ids))  # stable: a key's records stay in file order
+    steps, ids = steps[order], ids[order]
+    again = order[1:][(steps[1:] == steps[:-1]) & (ids[1:] == ids[:-1])]
+    if again.size and (through is None or lines[again.min()] <= through):
+        raise SchemaError(f"line {lines[again.min()]}: duplicate (id, step)")
 
 
 def _read_log(path: str):
@@ -118,19 +125,21 @@ def _read_log(path: str):
     of the records of the highest step, in file order; no other step's
     probabilities are kept.
 
-    Each line's UTF-8, JSON, schema, fields, K, (id, step) and shape are
-    checked as it is read. Its probabilities then wait in a block of up to
-    READ_BLOCK rows, which is normalized, checked by labels.check_rows and
-    reduced to argmaxes in one pass. A block is checked before any later
-    line's error is raised, so the error is always the first bad line's,
-    with the message a record-by-record check gives.
+    Each line's UTF-8, JSON, schema, fields, K and shape are checked as it
+    is read. Its probabilities then wait in a block of up to READ_BLOCK
+    rows, which is normalized, checked by labels.check_rows and reduced to
+    argmaxes in one pass. Repeated (id, step) keys are found by one sort
+    of every record's key, at the end of the read. A block and the keys
+    are checked before any later line's error is raised, so the error is
+    always the first bad line's, with the message a record-by-record check
+    gives; within a line a repeated key comes after its K and before its
+    shape and probabilities.
     """
-    parts = []  # the records of each checked block
+    parts = []  # (4, n) per checked block: step, ledger id, argmax, line number
     final_parts = []
     top_step = None
     n_classes = None
     index = {}
-    seen = set()  # the (ledger id, step) of every record read
     block = []  # (lineno, ledger id, step, probs) of the rows awaiting their check
 
     def check_block():
@@ -139,16 +148,18 @@ def _read_log(path: str):
             return
         linenos, ids, steps, raw = zip(*block)
         block.clear()
+        part = np.empty((4, len(raw)), dtype=np.int64)
+        part[0], part[1], part[3] = steps, ids, linenos
+        parts.append(part)
         raw = np.array(raw)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = raw / raw.sum(axis=1, keepdims=True)
         try:
             lb.check_rows(rows)
         except lb.InvalidRow as exc:
+            _check_keys(np.concatenate(parts, axis=1), through=linenos[exc.row])
             raise SchemaError(f"line {linenos[exc.row]}: bad probabilities ({exc})") from exc
-        part = np.empty((3, len(rows)), dtype=np.int64)
-        part[0], part[1], part[2] = steps, ids, rows.argmax(axis=1)
-        parts.append(part)
+        part[2] = rows.argmax(axis=1)
         high = max(steps)
         if top_step is None or high > top_step:
             top_step, final_parts = high, []
@@ -156,30 +167,45 @@ def _read_log(path: str):
         if keep.any():
             final_parts.append(rows[keep])
 
+    def check_read():
+        """Raise the first error among the records read, if there is one."""
+        check_block()
+        if parts:
+            _check_keys(np.concatenate(parts, axis=1))
+
     try:
-        fh = open(path, encoding="utf-8", errors="surrogateescape")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    ledger_id, step, probs = _parse_record(line, lineno, n_classes, index)
+                except SchemaError:
+                    check_read()
+                    raise
+                if probs.ndim != 1:
+                    # A repeated key comes before the shape, so this line's
+                    # key joins the records read.
+                    check_block()
+                    parts.append(np.array([[step], [ledger_id], [0], [lineno]]))
+                    check_read()
+                    raise SchemaError(f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")
+                n_classes = probs.size
+                block.append((lineno, ledger_id, step, probs))
+                if len(block) == READ_BLOCK:
+                    check_block()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ledger_id, step, probs = _parse_record(line, lineno, n_classes, index, seen)
-            except SchemaError:
-                # A row still in the block may hold an earlier error.
-                check_block()
-                raise
-            n_classes = probs.size
-            block.append((lineno, ledger_id, step, probs))
-            if len(block) == READ_BLOCK:
-                check_block()
     check_block()
     if not parts:
         raise SchemaError("log contains no records")
-    del seen  # before the copies below, which would otherwise add to its peak
-    return np.concatenate(parts, axis=1), list(index), np.concatenate(final_parts), n_classes
+    table = np.concatenate(parts, axis=1)
+    parts.clear()  # before the sort, which would otherwise add to its peak
+    _check_keys(table)
+    records = table[:3].copy()  # without the line numbers
+    del table  # before the final rows are stacked
+    return records, list(index), np.concatenate(final_parts), n_classes
 
 
 def _replay(records, n_classes: int, window: int) -> TransitionLedger:
@@ -242,12 +268,22 @@ def _default_seed(args) -> int:
     return int(text)
 
 
-def _open_out(path: str, mode: str = "w"):
-    """path opened for writing; a path that cannot be is a ConfigError."""
+@contextlib.contextmanager
+def _writing(path: str):
+    """A failure to open or write path in this context is a ConfigError
+    naming it."""
     try:
-        return open(path, mode)
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+@contextlib.contextmanager
+def _open_out(path: str, mode: str = "w"):
+    """path opened for writing, as a context in which a failure to open,
+    write or close it is a ConfigError."""
+    with _writing(path), open(path, mode) as fh:
+        yield fh
 
 
 def _check_out(path: str) -> None:
@@ -255,7 +291,8 @@ def _check_out(path: str) -> None:
     the work that writes it and without leaving a file: append mode keeps
     an existing one, and a new one is removed again."""
     existed = os.path.lexists(path)
-    _open_out(path, "a").close()
+    with _open_out(path, "a"):
+        pass
     if not existed:
         os.remove(path)
 
@@ -333,18 +370,16 @@ def _load_config(path):
     if not path:
         return {}
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    with fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config is not UTF-8 ({exc.reason})") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ConfigError(f"config nests too deeply ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply ({exc})") from exc
 
 
 def cmd_sim(args) -> int:
@@ -366,7 +401,8 @@ def cmd_sim(args) -> int:
         _check_out(path)
     dataset = generate_dataset(spec)
     state = run(config, dataset)
-    write_metrics_csv(state.history, args.out)
+    with _writing(args.out):
+        write_metrics_csv(state.history, args.out)
     if args.pairs_out:
         _write_obj1_entropy_pairs(state, config, dataset, args.pairs_out)
     last = state.history[-1]
@@ -490,19 +526,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point fd 1 at devnull, so the flush at exit of what stdout still
+    buffers is silent."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        # A reader that left early shows here, not in the flush at exit.
+        # A reader that left early, or a full disk, shows here, not in the
+        # flush at exit.
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # fd 1 points at devnull from here, so the flush at exit is silent.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _drop_stdout()
         return EXIT_PIPE
+    except OSError as exc:
+        # Reads and file writes raise their own errors, naming their path,
+        # so what is left is a write to stdout.
+        _drop_stdout()
+        print(f"config error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except SchemaError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

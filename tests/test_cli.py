@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import importlib.util
 import io
 import json
@@ -331,6 +332,24 @@ class TestLogErrors:
                 "line 3: bad probabilities (probabilities must be non-negative)"
             )
 
+    def test_repeat_comes_before_shape_and_probabilities(self, tmp_path):
+        # A line that repeats an earlier (id, step) fails as a repeat even
+        # when its probabilities are also bad; a repeat after a bad row in
+        # the same block leaves the bad row's error first.
+        line = '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": %s}'
+        good, bad = line % "[0.5, 0.5]", line % "[-1.0, 2.0]"
+        log = tmp_path / "repeat.ndjson"
+        for lines, message in (
+            ([good, line % "[[0.5, 0.5]]"], "line 2: duplicate (id, step)"),
+            ([good, bad], "line 2: duplicate (id, step)"),
+            ([bad, good], "line 1: bad probabilities (probabilities must be non-negative)"),
+        ):
+            log.write_text("\n".join(lines) + "\n")
+            for read in (_read_log, reference_read_log):
+                with pytest.raises(SchemaError) as exc:
+                    read(str(log))
+                assert str(exc.value) == message
+
 
 def reference_read_log(path: str):
     """The record-by-record parser that _read_log replaced, kept as the
@@ -377,7 +396,7 @@ def reference_read_log(path: str):
                 raise SchemaError(f"line {lineno}: duplicate (id, step)")
             seen.add((sample_id, step))
             try:
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     p = probs / probs.sum()
                 lb.check_rows(p[None])
             except ValueError as exc:
@@ -395,6 +414,9 @@ def reference_read_log(path: str):
 PROB_FAULTS = ("nan", "inf", "-inf", "negative", "zero_row", "overflow", "nested")
 LINE_FAULTS = ("string_probs", "non_numbers", "missing_field", "field_types", "k_mismatch",
                "duplicate", "schema", "malformed")
+# A repeated (id, step) whose probabilities are also bad: the repeat is
+# the line's error.
+REPEAT_FAULTS = tuple(f"duplicate+{fault}" for fault in PROB_FAULTS)
 
 
 def valid_rows(rng, n, K):
@@ -416,7 +438,11 @@ def valid_rows(rng, n, K):
 
 
 def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
-    """Record i's line with a fault of the given kind."""
+    """Record i's line with a fault of the given kind; "duplicate+F"
+    repeats line i - 1's key on line i and adds fault F."""
+    if kind.startswith("duplicate+"):
+        rec["id"], rec["step"] = keys[i - 1]
+        kind = kind.removeprefix("duplicate+")
     probs = rec["probs"]
     j = int(rng.integers(K))
     if kind in ("nan", "inf", "-inf", "negative"):
@@ -457,8 +483,10 @@ def inject(rec: dict, kind: str, rng, K: int, keys: list, i: int) -> str:
 @st.composite
 def fault_logs(draw):
     """A log text near the block boundaries, with steps in or out of
-    order, blank lines, and up to two faults, at times a probability fault
-    followed by a line fault in the same block."""
+    order, blank lines, LF, CRLF or CR line ends, and up to three faults:
+    at times a repeated (id, step) with bad probabilities, and at times a
+    probability fault followed by a line fault, often a repeat, in the
+    same block."""
     K = draw(st.sampled_from((2, 3, 7, 8, 9, 32, 127, 128, 129, 200)))
     n = draw(st.sampled_from(
         (1, 2, 5, READ_BLOCK - 1, READ_BLOCK, READ_BLOCK + 1, 2 * READ_BLOCK + 1)))
@@ -477,7 +505,10 @@ def fault_logs(draw):
         if room:
             second = first + draw(st.integers(1, room))
             faults = {first: draw(st.sampled_from(PROB_FAULTS)),
-                      second: draw(st.sampled_from(LINE_FAULTS))}
+                      second: draw(st.one_of(st.just("duplicate"),
+                                             st.sampled_from(LINE_FAULTS)))}
+    if n > 1 and draw(st.booleans()):
+        faults[draw(at.map(lambda i: max(i, 1)))] = draw(st.sampled_from(REPEAT_FAULTS))
     blanks = draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(("", "  ", "\t"))),
                            max_size=3))
 
@@ -488,7 +519,9 @@ def fault_logs(draw):
                      else json.dumps(rec))
     for pos, blank in sorted(blanks, reverse=True):
         lines.insert(pos, blank)
-    return "\n".join(lines) + "\n"
+    # Both readers number lines by Python's universal newlines.
+    end = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return end.join(lines) + end
 
 
 class TestReadLogOracle:
@@ -499,7 +532,7 @@ class TestReadLogOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_record_by_record_parser(self, tmp_path_factory, text):
         log = tmp_path_factory.mktemp("oracle") / "log.ndjson"
-        log.write_text(text)
+        log.write_bytes(text.encode())
         try:
             expected = reference_read_log(str(log))
         except SchemaError as exc:
@@ -583,8 +616,9 @@ def test_read_side_memory_per_record(tmp_path):
     added = 30 * 1000
     live, peak = ((more - less) / added for less, more in zip(*use))
     # Live: three int64s a record, and the ledger's window of transitions.
-    # Peak: the duplicate check's set of (ledger id, step) keys on top.
-    assert live < 40 and peak < 160, (live, peak)
+    # Peak: the read's four int64s a record (its line number too), stacked
+    # at the end of the read, and the sort that finds repeated keys.
+    assert live < 40 and peak < 100, (live, peak)
 
 
 def test_select_memory_grows_with_the_final_rows_only(tmp_path):
@@ -905,6 +939,54 @@ class TestOutputPath:
                     ["sim", "--out", str(out), "--pairs-out", path], path, capsys)
         assert list(tmp_path.iterdir()) == [metrics]
         assert metrics.read_text() == "kept\n"
+
+
+def full_disk(full_path: str):
+    """open() on a disk where full_path takes no bytes: opening it works,
+    and its first write fails."""
+    def opener(path, mode="r", *args, **kwargs):
+        fh = open(path, mode, *args, **kwargs)
+        if str(path) == full_path:
+            def no_space(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = no_space
+        return fh
+    return opener
+
+
+class TestWriteFailure:
+    """A write that fails exits 2 with one line naming the file or stdout;
+    a closed stdout keeps its own exit code."""
+
+    def test_output_files(self, tmp_path, capsys, monkeypatch):
+        out, metrics = str(tmp_path / "out"), str(tmp_path / "metrics.csv")
+        for argv in (["select", MULTI_LOG, "--out", out],
+                     ["sim", "--iters", "3", "--out", out],
+                     ["sim", "--iters", "3", "--out", metrics, "--pairs-out", out]):
+            # sim's metrics CSV is written by sim.write_metrics_csv.
+            for module in (cli, sim):
+                monkeypatch.setattr(module, "open", full_disk(out), raising=False)
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"config error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n")
+            assert captured.out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", [
+        ["select", MULTI_LOG], ["cluster", MULTI_LOG, "--k", "4"],
+        ["verify", "lemma1", "--trials", "5"],
+    ], ids=["select", "cluster", "verify"])
+    def test_full_stdout(self, argv):
+        # The flush at exit must not fail again on what stdout still buffers.
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                [sys.executable, "-m", "soclabel.cli", *argv], stdout=full,
+                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        assert child.returncode == EXIT_USAGE
+        assert child.stderr == (
+            f"config error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n".encode())
 
 
 class TestEntropySweep:
