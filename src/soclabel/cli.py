@@ -25,7 +25,7 @@ from .losses import softmax
 from .sim import (
     BASELINES,
     SimConfig,
-    build_targets,
+    blocked_targets,
     config_from_dict,
     entropy_vs_k,
     final_score,
@@ -418,18 +418,17 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     """Per-sample (ground-truth mass retained, selected entropy) rows from
     the final model; the raw data behind density-plot comparisons.
 
-    Rows are taken EVAL_BLOCK at a time. Each row's target is the same as
-    in one pass over the whole set: select_targets gives each k the same
-    partition whichever other ks share the call, and every other step
-    works row by row.
+    Rows are taken EVAL_BLOCK at a time by blocked_targets, which clusters
+    the ks of the whole set once. Each row's target is the same as in one
+    pass over the whole set: a k's partition is the same whichever other
+    ks share the call, and every other step works row by row.
     """
+    blocks = lambda: (softmax(logits) for _, logits in
+                      logit_blocks(state.model, dataset.x_unlabeled))
     with _open_out(path) as fh:
         fh.write("zobj1,entropy\n")
-        for start, logits in logit_blocks(state.model, dataset.x_unlabeled):
-            probs = softmax(logits)
-            targets, _ = build_targets(probs, config, state.ledger)
-            y_true = dataset.y_unlabeled[start:start + len(probs)]
-            zobj1 = lb.obj1_score(probs, targets, y_true)
+        for rows, probs, targets, _ in blocked_targets(blocks, config, state.ledger):
+            zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled[rows])
             for z, h in zip(zobj1, lb.entropy(targets).tolist()):
                 fh.write(f"{z},{h}\n")
 

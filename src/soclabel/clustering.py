@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidK
+from .errors import EmptyBatch, InvalidK
 from .labels import restrict
 
 
@@ -68,6 +68,9 @@ def cluster_labels(
     and a cluster's new medoid is the lowest-indexed of the members with
     the largest within-cluster similarity sum (the diagonal excluded).
 
+    Every k must be an integer in [2, K], else InvalidK; an empty ks
+    raises EmptyBatch.
+
     Exact sums: the diagonal must be +inf (MAX_SIM) and every off-diagonal
     entry an integer, with an absolute total below 2**53; otherwise
     ValueError. Then every within-cluster sum is an exact integer in any
@@ -90,7 +93,13 @@ def cluster_labels(
     n = sim.shape[0]
     if sim.ndim != 2 or sim.shape[1] != n:
         raise ValueError("similarity matrix must be square")
-    ks = np.asarray(ks, dtype=np.intp).reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
+    if ks.size == 0:
+        raise EmptyBatch("no k to cluster: ks is empty")
+    if ks.dtype.kind not in "iu":
+        # A cast would run k=2.5 as k=2.
+        raise InvalidK(f"k={ks[0].item()!r} is not an integer (ks of dtype {ks.dtype})")
+    ks = ks.astype(np.intp, copy=False)
     for k in ks.tolist():
         if not 2 <= k <= n:
             raise InvalidK(f"k={k} outside [2, {n}]")
@@ -174,7 +183,7 @@ def partitions(sim: np.ndarray, ks, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(labels_by_k, which): the cluster_labels partitions of the distinct
     ks, ascending, and which[i], the row of ks[i] among them. Rows may then
     be selected in any grouping, since each row's partition is its k's."""
-    ks = np.asarray(ks, dtype=np.intp).reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
     # The distinct ks in ascending order, so cluster_labels names the
     # smallest bad one. For a training batch's 160 ks, this set and the
     # lookup table below take 4.9 us, np.unique with return_inverse

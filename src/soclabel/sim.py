@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import labels as lb
-from .clustering import candidate_mask, partitions, select_targets
+from .clustering import candidate_mask, partitions
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
@@ -235,12 +235,16 @@ def build_targets(
     probs: np.ndarray,
     config: SimConfig,
     ledger: TransitionLedger,
+    clustered: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample consistency targets and chosen k values for one batch.
 
     soc:      cluster-restricted renormalized soft labels
     soft:     the raw soft labels (all-ones indicator)
     fixmatch: one-hot argmax (threshold masking is applied by the caller)
+
+    soc clusters the batch's ks here, unless clustered holds its rows'
+    (labels_by_k, which) from a clustering of a larger set (blocked_targets).
     """
     n, K = probs.shape
     if config.baseline == "soft":
@@ -248,12 +252,43 @@ def build_targets(
     if config.baseline == "fixmatch":
         return one_hot(probs.argmax(axis=1), K), np.full(n, K)
 
+    pnorm, ks = _soc_ks(probs, config)
+    if clustered is None:
+        clustered = _soc_partitions(ks, config, ledger)
+    mask = candidate_mask(*clustered, pnorm.argmax(axis=1))
+    return lb.restrict(pnorm, mask), ks
+
+
+def _soc_ks(probs: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """soc's normalized rows and each row's k."""
     pnorm = probs / probs.sum(axis=1, keepdims=True)
-    ks = select_k(config.k_policy, pnorm.max(axis=1))
-    targets, _ = select_targets(
-        pnorm, ledger.similarity_matrix(), ks, seed=config.seed + ledger.version
-    )
-    return targets, ks
+    return pnorm, select_k(config.k_policy, pnorm.max(axis=1))
+
+
+def _soc_partitions(ks, config: SimConfig, ledger: TransitionLedger):
+    """soc's (labels_by_k, which) for rows of these ks: one partitions call."""
+    return partitions(ledger.similarity_matrix(), ks, seed=config.seed + ledger.version)
+
+
+def blocked_targets(blocks, config: SimConfig, ledger: TransitionLedger):
+    """build_targets of each probability block that blocks() yields, with
+    the ks of all of their rows clustered once: yields (rows, probs,
+    targets, ks) per block, rows its slice of the whole.
+
+    A row's partition is its k's whichever other ks share the call, so each
+    row's target is the one a build_targets call on all the rows at once
+    gives. blocks is called twice for soc (its ks, then its targets), once
+    for the baselines, which cluster nothing.
+    """
+    if config.baseline == "soc":
+        ks = np.concatenate([_soc_ks(probs, config)[1] for probs in blocks()])
+        labels_by_k, which = _soc_partitions(ks, config, ledger)
+    start = 0
+    for probs in blocks():
+        rows = slice(start, start + len(probs))
+        start = rows.stop
+        clustered = (labels_by_k, which[rows]) if config.baseline == "soc" else None
+        yield (rows, probs, *build_targets(probs, config, ledger, clustered))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +365,14 @@ def soc_step(
     return total
 
 
-# Whole-set passes (evaluation, the pairs file) take the logits and softmax
-# of this many rows at a time, so their memory does not grow with the set.
-# Each row's values are the same bits as in a whole-set pass: the softmax
-# reduces each row of a C-contiguous block on its own, and the tests hold
-# the logits product to a whole-array oracle.
-EVAL_BLOCK = 512
+# Whole-set passes (evaluation, the pairs file) take the logits, softmax
+# and targets of this many rows at a time, so their memory does not grow
+# with the set. Each row's values are the same bits as in a whole-set pass:
+# the softmax and the target steps reduce each row of a C-contiguous block
+# on its own, and the tests hold both passes to a whole-array oracle. At
+# K=32 a block's (rows, K) float64 temporaries are 32 KiB; blocks of 512
+# rows cost `train_soc` about 0.4 MB of peak memory more.
+EVAL_BLOCK = 128
 
 
 def logit_blocks(model: LinearModel, x: np.ndarray):
@@ -362,12 +399,19 @@ def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow
             probs[start:start + len(block)] = block[:n_eval - start]
     pl_acc = float((pred == dataset.y_unlabeled).mean())
 
+    # Each row's target, entropies and objectives, block by block; the means
+    # are taken over the whole arrays, as a whole-set pass takes them.
     y_true = dataset.y_unlabeled[:n_eval]
-    targets, ks = build_targets(probs, config, state.ledger)
-    ent_sel = lb.entropy(targets)
-    ent_raw = lb.entropy(probs)
-    zobj1 = lb.obj1_score(probs, targets, y_true)
-    zobj2 = lb.obj2_score(targets)
+    ks = np.empty(n_eval, dtype=int)
+    ent_sel, ent_raw, zobj1 = np.empty(n_eval), np.empty(n_eval), np.empty(n_eval)
+    zobj2 = np.empty(n_eval, dtype=np.intp)
+    blocks = lambda: (probs[lo:lo + EVAL_BLOCK] for lo in range(0, n_eval, EVAL_BLOCK))
+    for rows, block, targets, block_ks in blocked_targets(blocks, config, state.ledger):
+        ks[rows] = block_ks
+        ent_sel[rows] = lb.entropy(targets)
+        ent_raw[rows] = lb.entropy(block)
+        zobj1[rows] = lb.obj1_score(block, targets, y_true[rows])
+        zobj2[rows] = lb.obj2_score(targets)
 
     return MetricsRow(
         iter=state.iteration,

@@ -2,9 +2,12 @@
 
 A transition is recorded whenever the model's argmax prediction for a
 sample changes between consecutive observations. Each batch's events are
-kept as the (from, to) rows of a read-only (n, 2) int64 array, in batch
-order and never with from == to; the window's counts C are summed densely,
-and the similarity C + C^T is integer-valued, so its sums are exact.
+kept as the (from, to) rows of a read-only (n, 2) array, in batch order and
+never with from == to. Its dtype is the ledger's `event_dtype`,
+`np.min_scalar_type(K - 1)`: uint8 up to K=256 and uint16 up to 65536, so
+a held transition costs 2 bytes at the paper's K, where int64 cost 16. The
+window's counts C are summed densely in int64, and the similarity C + C^T
+is integer-valued, so its sums are exact.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ class TransitionLedger:
             raise ValueError("window size must be positive")
         self.n_classes = n_classes
         self.window_size = window_size
+        self.event_dtype = np.min_scalar_type(n_classes - 1)
         self.window: deque[np.ndarray] = deque()
         self.running_sum = np.zeros((n_classes, n_classes), dtype=np.int64)
         self.version = 0
@@ -47,9 +51,18 @@ class TransitionLedger:
         transition. An id seen twice in one batch moves from its earlier
         prediction to its later one, and last_pred keeps the last. The
         oldest batch is evicted once the window is full.
+
+        ids and preds must hold integers: a float or bool array raises
+        TypeError, since a cast would record 1.7 as class 1. An empty
+        list, which numpy types as float64, is an empty batch.
         """
-        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
-        preds = np.asarray(preds, dtype=np.int64).reshape(-1)
+        ids = np.asarray(ids).reshape(-1)
+        preds = np.asarray(preds).reshape(-1)
+        for name, values in (("ids", ids), ("preds", preds)):
+            if values.size and values.dtype.kind not in "iu":
+                raise TypeError(f"{name} must be integers, got {values.dtype}")
+        ids = ids.astype(np.intp, copy=False)
+        preds = preds.astype(np.int64, copy=False)
         if ids.shape != preds.shape:
             raise ValueError("need one prediction per id")
         bad = (preds < 0) | (preds >= self.n_classes)
@@ -81,7 +94,10 @@ class TransitionLedger:
             self.last_pred[sorted_ids[last]] = sorted_preds[last]
 
         moved = (prev != UNOBSERVED) & (prev != preds)
-        recorded = np.stack([prev[moved], preds[moved]], axis=1)
+        # Both columns are classes in [0, K), so the narrow cast is exact.
+        recorded = np.empty((np.count_nonzero(moved), 2), dtype=self.event_dtype)
+        recorded[:, 0] = prev[moved]
+        recorded[:, 1] = preds[moved]
         # Eviction subtracts the array's events again: it must not change.
         recorded.flags.writeable = False
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soclabel import cli, sim, verify
+from soclabel import cli, clustering, sim, verify
 from soclabel import labels as lb
 from soclabel.cli import (
     EXIT_DATA,
@@ -746,8 +746,8 @@ class TestSim:
         assert len(lines) == 1 + 4 * 20
 
     def test_pairs_out_equals_whole_array_pass(self, tmp_path, monkeypatch):
-        # 4 classes x 150 = 600 unlabeled rows: one full block and a short
-        # one. The full block mixes several ks in one select_targets call.
+        # 4 classes x 150 = 600 unlabeled rows: full blocks and a short one.
+        # The first block mixes several ks.
         assert (4 * 150) % EVAL_BLOCK
         runs = []
 
@@ -770,6 +770,27 @@ class TestSim:
         expected = "zobj1,entropy\n" + "".join(
             f"{z},{h}\n" for z, h in zip(zobj1, lb.entropy(targets).tolist()))
         assert pairs.read_bytes() == expected.encode()
+
+    def test_pairs_out_clusters_once(self, tmp_path, monkeypatch):
+        # After training, one cluster_labels call takes the ks of all 600
+        # rows, which span five blocks.
+        calls = []
+        real = clustering.cluster_labels
+
+        def counted(sim, ks, *args, **kwargs):
+            calls.append(list(ks))
+            return real(sim, ks, *args, **kwargs)
+
+        def run_then_count(config, dataset):
+            state = sim.run(config, dataset)
+            monkeypatch.setattr(clustering, "cluster_labels", counted)
+            return state
+
+        monkeypatch.setattr(cli, "run", run_then_count)
+        pairs = tmp_path / "pairs.csv"
+        args, _ = self.small_args(tmp_path, "--pairs-out", str(pairs), unlabeled_per_class=150)
+        assert main(args) == EXIT_OK
+        assert len(calls) == 1 and len(calls[0]) > 1
 
     def test_config_k_policy_holds_without_policy_flag(self, tmp_path):
         config = tmp_path / "fixed.json"

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclabel import clustering
-from soclabel.clustering import _assign, cluster_labels, select_targets
-from soclabel.errors import InvalidK
+from soclabel.clustering import _assign, cluster_labels, partitions, select_targets
+from soclabel.errors import EmptyBatch, InvalidK
 from soclabel.transitions import MAX_SIM, TransitionLedger
 
 
@@ -364,6 +364,26 @@ class TestClusterLabels:
         for ks in ([2, 5], [1, 3], [3, 0]):
             with pytest.raises(InvalidK):
                 cluster_labels(sim, ks, seed=0)
+
+
+    def test_non_integer_k_rejected(self):
+        # A cast would run k=2.5 as k=2.
+        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+        for ks in ([2.5], [3, 2.5], np.array([2.0, 3.0]), [True, True]):
+            with pytest.raises(InvalidK, match="is not an integer"):
+                cluster_labels(sim, ks, seed=0)
+            with pytest.raises(InvalidK, match="is not an integer"):
+                partitions(sim, ks, seed=0)
+            with pytest.raises(InvalidK, match="is not an integer"):
+                select_targets(peaked([0] * len(ks), 4), sim, ks, seed=0)
+
+    def test_empty_ks_rejected(self):
+        sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
+        for call in (lambda: cluster_labels(sim, [], seed=0),
+                     lambda: partitions(sim, np.array([], dtype=int), seed=0),
+                     lambda: select_targets(np.empty((0, 4)), sim, [], seed=0)):
+            with pytest.raises(EmptyBatch, match="ks is empty"):
+                call()
 
 
 def peaked(argmaxes, n):

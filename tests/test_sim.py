@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from soclabel import clustering
 from soclabel.clustering import select_targets
 from soclabel.errors import ConfigError
 from soclabel.kselect import KPolicy
@@ -233,7 +234,8 @@ class TestTrainingLoop:
 
         ds = generate_dataset(SMALL_SPEC)
         cfg = small_config(lr=1e100, iters=50)
-        with pytest.raises(DivergedAtIteration):
+        # The weights overflow on the way, which numpy reports.
+        with pytest.warns(RuntimeWarning), pytest.raises(DivergedAtIteration):
             run(cfg, ds)
 
     def test_entropy_vs_k_non_increasing(self):
@@ -392,6 +394,40 @@ class TestBlockedEvaluate:
         # samples per class, 96 MB at 100.
         peaks = self.k200_peaks(evaluate, (20, 100))
         assert peaks[1] - peaks[0] < 2_000_000, peaks
+
+    def test_memory_grows_by_little_more_than_the_kept_probabilities(self):
+        # From 512 to 2048 evaluated rows the kept probabilities grow by
+        # 1536 x 200 float64s, 2.46 MB. A target pass over all the evaluated
+        # rows at once grew the peak by 10.2 MB.
+        def at(n_eval):
+            return lambda state, config, ds: evaluate(
+                state, dataclasses.replace(config, eval_subset=n_eval), ds)
+        peaks = [self.k200_peaks(at(n_eval), (20,))[0] for n_eval in (512, 2048)]
+        assert peaks[1] - peaks[0] < 3_500_000, peaks
+
+    def test_one_clustering_per_evaluate(self, monkeypatch):
+        # One cluster_labels call takes the distinct ks of every evaluated
+        # row, however many blocks they span.
+        ds = generate_dataset(self.SPEC)
+        config = small_config(iters=150, eval_every=150)
+        state = run(config, ds)
+        calls = []
+        real = clustering.cluster_labels
+
+        def counted(sim, ks, *args, **kwargs):
+            calls.append(list(ks))
+            return real(sim, ks, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "cluster_labels", counted)
+        for subset in (100, EVAL_BLOCK + 188, ds.x_unlabeled.shape[0]):
+            cfg = dataclasses.replace(config, eval_subset=subset)
+            calls.clear()
+            evaluate(state, cfg, ds)
+            evaluated = list(calls)
+            probs = softmax(ds.x_unlabeled[:subset] @ state.model.weights.T
+                            + state.model.bias)
+            _, ks = build_targets(probs, cfg, state.ledger)
+            assert evaluated == [sorted(set(ks.tolist()))], subset
 
     def test_entropy_vs_k_equals_the_whole_array_pass(self):
         # Three blocks, the last one short, against one select_targets call

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soclabel.errors import InvalidClass
-from soclabel.transitions import MAX_SIM, TransitionLedger, rebuild_running_sum
+from soclabel.transitions import MAX_SIM, UNOBSERVED, TransitionLedger, rebuild_running_sum
 
 
 def make(n_classes=6, window=4, n_ids=8):
@@ -48,6 +48,28 @@ class TestObserveBatch:
         ledger = make(n_classes=4)
         with pytest.raises(InvalidClass):
             observe(ledger, [(A, 4)])
+
+    def test_non_integer_ids_and_preds_rejected(self):
+        # A cast would record classes 1 and 2 here, and id 0.5 as id 0.
+        ledger = make()
+        for ids, preds, name in (
+            ([0, 1], [1.7, 2.9], "preds"),
+            ([0.5], [1], "ids"),
+            ([True, False], [1, 2], "ids"),
+            ([0, 1], [True, False], "preds"),
+            (np.array([0]), np.array([2.0]), "preds"),
+        ):
+            with pytest.raises(TypeError, match=f"{name} must be integers"):
+                ledger.observe_batch(ids, preds)
+        assert ledger.version == 0
+        assert ledger.last_pred.tolist() == [UNOBSERVED] * 8
+
+    def test_empty_lists_are_an_empty_batch(self):
+        # numpy types an empty list as float64.
+        ledger = make()
+        bt = ledger.observe_batch([], [])
+        assert bt.shape == (0, 2) and bt.dtype == ledger.event_dtype
+        assert ledger.version == 1 and len(ledger.window) == 1
 
     def test_version_increments(self):
         ledger = make()
@@ -182,13 +204,30 @@ class TestObserveOracle:
         ledger = make(window=2)
         observe(ledger, [(A, 1), (B, 2)])
         bt = observe(ledger, [(A, 3), (B, 4)])
-        assert bt.dtype == np.int64 and bt.shape == (2, 2)
+        assert bt.dtype == np.uint8 == ledger.event_dtype and bt.shape == (2, 2)
         for events in (bt, ledger.window[-1]):
             with pytest.raises(ValueError, match="read-only"):
                 events[0, 1] = 5
         observe(ledger, [(A, 0)])
         observe(ledger, [(B, 0)])
         assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
+
+    @pytest.mark.parametrize("K, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_top_classes_round_trip_at_the_dtype_switch(self, K, dtype):
+        # Class K - 1 is the largest the event dtype must hold: 255 in uint8
+        # at K=256, and 256 in uint16 at K=257.
+        top = K - 1
+        ledger = make(n_classes=K, window=2, n_ids=4)
+        assert ledger.event_dtype == dtype
+        observe(ledger, [(A, top), (B, top - 1), (C, 0)])
+        bt = observe(ledger, [(A, top - 1), (B, top), (C, top)])
+        assert bt.dtype == dtype
+        assert bt.tolist() == [[top, top - 1], [top - 1, top], [0, top]]
+        for batch in ([(A, top), (C, top - 2)], [(B, 0), (A, 0)], [(C, top)]):
+            observe(ledger, batch)
+            assert np.array_equal(ledger.running_sum, rebuild_running_sum(ledger))
+        assert [b.tolist() for b in ledger.window] == [[[top, 0], [top, 0]], [[top - 2, top]]]
+        assert ledger.running_sum.sum() == 3
 
     def test_seeded_ledger_bytes(self):
         # 40 batches of 0 to 24 draws from 30 ids, repeats included, at K=12
