@@ -17,25 +17,14 @@ import sys
 
 import numpy as np
 
+# Only what select and cluster run is imported here. sim, entropy-sweep and
+# verify import the simulator and the suites when they run, so a select or
+# cluster process neither compiles nor executes them.
 from . import labels as lb
 from .clustering import BLOCK_ELEMENTS, candidate_mask, cluster_labels, partitions
 from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
 from .kselect import KPolicy, parse_config, select_k
-from .losses import softmax
-from .sim import (
-    BASELINES,
-    SimConfig,
-    blocked_targets,
-    config_from_dict,
-    entropy_vs_k,
-    final_score,
-    generate_dataset,
-    logit_blocks,
-    run,
-    write_metrics_csv,
-)
-from .transitions import TransitionLedger
-from .verify import SUITES, run_suite
+from .transitions import DEFAULT_WINDOW, TransitionLedger
 
 LOG_SCHEMA = "soc-log-v1"
 
@@ -383,6 +372,8 @@ def _load_config(path):
 
 
 def cmd_sim(args) -> int:
+    from . import sim
+
     raw = _load_config(args.config)
     if not args.policy and (stray := _policy_flags(args)):
         raise ConfigError(f"--{stray[0]} needs --policy; without it "
@@ -396,18 +387,20 @@ def cmd_sim(args) -> int:
         "iters": args.iters,
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
-    config, spec = config_from_dict(raw, overrides)
+    config, spec = sim.config_from_dict(raw, overrides)
+    if args.pairs_out and os.path.realpath(args.pairs_out) == os.path.realpath(args.out):
+        raise ConfigError(f"--out and --pairs-out both name {args.pairs_out}")
     for path in filter(None, (args.out, args.pairs_out)):
         _check_out(path)
-    dataset = generate_dataset(spec)
-    state = run(config, dataset)
+    dataset = sim.generate_dataset(spec)
+    state = sim.run(config, dataset)
     with _writing(args.out):
-        write_metrics_csv(state.history, args.out)
+        sim.write_metrics_csv(state.history, args.out)
     if args.pairs_out:
         _write_obj1_entropy_pairs(state, config, dataset, args.pairs_out)
     last = state.history[-1]
     print(
-        f"final top1={final_score(state.history):.4f} pl_acc={last.pl_acc:.4f} "
+        f"final top1={sim.final_score(state.history):.4f} pl_acc={last.pl_acc:.4f} "
         f"mean_entropy_sel={last.mean_entropy_sel:.4f} k_mean={last.k_mean:.2f} "
         f"(metrics -> {args.out})"
     )
@@ -423,17 +416,22 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     pass over the whole set: a k's partition is the same whichever other
     ks share the call, and every other step works row by row.
     """
+    from . import sim
+    from .losses import softmax
+
     blocks = lambda: (softmax(logits) for _, logits in
-                      logit_blocks(state.model, dataset.x_unlabeled))
+                      sim.logit_blocks(state.model, dataset.x_unlabeled))
     with _open_out(path) as fh:
         fh.write("zobj1,entropy\n")
-        for rows, probs, targets, _ in blocked_targets(blocks, config, state.ledger):
+        for rows, probs, targets, _ in sim.blocked_targets(blocks, config, state.ledger):
             zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled[rows])
             for z, h in zip(zobj1, lb.entropy(targets).tolist()):
                 fh.write(f"{z},{h}\n")
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suite
+
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be positive, got {args.trials}")
     seed = _default_seed(args)
@@ -447,8 +445,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_entropy_sweep(args) -> int:
+    from . import sim
+
     seed = _default_seed(args)
-    config, spec = config_from_dict(_load_config(args.config))
+    config, spec = sim.config_from_dict(_load_config(args.config))
     # Only the soc arm tracks class transitions: any other run's ledger
     # stays empty, and every k would cluster a cold similarity matrix.
     if config.baseline != "soc":
@@ -458,9 +458,9 @@ def cmd_entropy_sweep(args) -> int:
     for k in args.ks:
         if not 2 <= k <= spec.n_classes:
             raise InvalidK(f"k={k} outside [2, {spec.n_classes}]")
-    dataset = generate_dataset(spec)
-    state = run(config, dataset)
-    means = entropy_vs_k(state.model, dataset, state.ledger, args.ks, seed=seed)
+    dataset = sim.generate_dataset(spec)
+    state = sim.run(config, dataset)
+    means = sim.entropy_vs_k(state.model, dataset, state.ledger, args.ks, seed=seed)
     for k, m in zip(args.ks, means):
         print(f"k={k} mean_entropy_sel={m}")
     return EXIT_OK
@@ -488,21 +488,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="replay a prediction log and select soft labels")
     p.add_argument("log")
     add_policy_flags(p)
-    p.add_argument("--nb", type=int, default=SimConfig.window, help="transition window size")
+    p.add_argument("--nb", type=int, default=DEFAULT_WINDOW, help="transition window size")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("cluster", help="cluster the class space of a prediction log")
     p.add_argument("log")
     add_policy_flags(p)
-    p.add_argument("--nb", type=int, default=SimConfig.window)
+    p.add_argument("--nb", type=int, default=DEFAULT_WINDOW)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sim", help="run the training simulator")
     p.add_argument("--config", default=None, help="JSON config file")
     # The config's sim.k_policy holds unless --policy is given.
     add_policy_flags(p)
-    p.add_argument("--baseline", choices=BASELINES, default=None)
+    # sim.config_from_dict checks the baseline, as it checks a config's.
+    p.add_argument("--baseline", default=None, help="overrides the config's sim.baseline")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--nb", type=int, default=None)
     p.add_argument("--iters", type=int, default=None)
@@ -517,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy_sweep)
 
     p = sub.add_parser("verify", help="run randomized invariant suites")
-    p.add_argument("suite", choices=[*SUITES, "all"])
+    # verify.run_suite checks the name, so the suites load only when run.
+    p.add_argument("suite", help="a suite of soclabel.verify, or all")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_verify)

@@ -37,6 +37,10 @@ class DivergedAtIteration(SocLabelError):
         super().__init__(f"non-finite loss at iteration {iteration}")
 
 
+class UnknownSuite(SocLabelError):
+    """Verification suite name that is not registered."""
+
+
 class SchemaError(SocLabelError):
     """Prediction log violates its schema."""
 

@@ -18,7 +18,7 @@ from .clustering import candidate_mask, partitions
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
-from .transitions import TransitionLedger
+from .transitions import DEFAULT_WINDOW, TransitionLedger
 
 
 def _check_field_types(obj, error) -> None:
@@ -136,7 +136,7 @@ class SimConfig:
     k_policy: KPolicy
     batch_size: int = 32  # B
     mu: int = 5  # unlabeled batch = mu * B
-    window: int = 512  # transition window N_b
+    window: int = DEFAULT_WINDOW  # transition window N_b
     lambda_cos: float = 1.0
     iters: int = 5000
     lr: float = 0.05
@@ -152,7 +152,7 @@ class SimConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_field_types(self, ConfigError)
         if self.baseline not in BASELINES:
-            raise ConfigError(f"baseline must be one of {BASELINES}")
+            raise ConfigError(f"baseline must be one of {BASELINES}, got {self.baseline!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError("tau must be in [0, 1]")
         if self.lr <= 0.0:

@@ -20,6 +20,9 @@ from .errors import InvalidClass
 
 UNOBSERVED = -1
 MAX_SIM = np.inf
+# The window N_b, in batches, of a training run and of `soclabel select`
+# and `cluster` unless --nb sets it.
+DEFAULT_WINDOW = 512
 
 
 class TransitionLedger:

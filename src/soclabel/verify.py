@@ -13,6 +13,7 @@ import numpy as np
 
 from . import labels as lb
 from .clustering import _assign, cluster_labels
+from .errors import UnknownSuite
 from .kselect import KPolicy, select_k
 from .losses import cross_entropy, cross_entropy_terms
 from .transitions import TransitionLedger, rebuild_running_sum
@@ -282,6 +283,14 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> list[SuiteResult]:
+    """The results of suite `name`, or of every suite for "all", each run
+    with its own trial count unless `trials` is given. Raises UnknownSuite
+    for any other name and ValueError for trials below 1, before any suite
+    runs: a run of no trials would pass."""
+    if name != "all" and name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r} (choose from {', '.join([*SUITES, 'all'])})")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     names = list(SUITES) if name == "all" else [name]
     kwargs = {"seed": seed} if trials is None else {"seed": seed, "trials": trials}
     return [SUITES[n](**kwargs) for n in names]

@@ -28,7 +28,7 @@ from soclabel.cli import (
     main,
 )
 from soclabel.clustering import cluster_labels
-from soclabel.errors import SchemaError
+from soclabel.errors import SchemaError, UnknownSuite
 from soclabel.kselect import select_k
 from soclabel.losses import softmax
 from soclabel.sim import EVAL_BLOCK
@@ -750,13 +750,14 @@ class TestSim:
         # The first block mixes several ks.
         assert (4 * 150) % EVAL_BLOCK
         runs = []
+        real_run = sim.run
 
         def keep_state(config, dataset):
-            state = sim.run(config, dataset)
+            state = real_run(config, dataset)
             runs.append((config, dataset, state))
             return state
 
-        monkeypatch.setattr(cli, "run", keep_state)
+        monkeypatch.setattr(sim, "run", keep_state)
         pairs = tmp_path / "pairs.csv"
         args, _ = self.small_args(tmp_path, "--pairs-out", str(pairs), unlabeled_per_class=150)
         assert main(args) == EXIT_OK
@@ -776,17 +777,18 @@ class TestSim:
         # rows, which span five blocks.
         calls = []
         real = clustering.cluster_labels
+        real_run = sim.run
 
         def counted(sim, ks, *args, **kwargs):
             calls.append(list(ks))
             return real(sim, ks, *args, **kwargs)
 
         def run_then_count(config, dataset):
-            state = sim.run(config, dataset)
+            state = real_run(config, dataset)
             monkeypatch.setattr(clustering, "cluster_labels", counted)
             return state
 
-        monkeypatch.setattr(cli, "run", run_then_count)
+        monkeypatch.setattr(sim, "run", run_then_count)
         pairs = tmp_path / "pairs.csv"
         args, _ = self.small_args(tmp_path, "--pairs-out", str(pairs), unlabeled_per_class=150)
         assert main(args) == EXIT_OK
@@ -808,7 +810,7 @@ class TestSim:
             assert [float(row.split(",")[-1]) for row in rows[1:]] == [k] * 3
 
     def test_bad_config_exits_usage(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         config = tmp_path / "bad.json"
         for bad in (
             {"sim": {"baseline": "mystery"}},
@@ -850,7 +852,7 @@ class TestSim:
             assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_bad_policy_flags_exit_usage(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         for flags, message in (
             (["--policy", "fixed", "--k", "99"], "fixed k must be in [2, 32]"),
             (["--policy", "fixed"], "k must be an integer, got None"),
@@ -868,13 +870,21 @@ class TestSim:
                 f"config error: --{flag} needs --policy; without it the config's "
                 "sim.k_policy holds\n")
 
+    def test_unknown_baseline_flag_exits_usage(self, capsys, monkeypatch):
+        # sim.config_from_dict checks the flag, as it checks a config's.
+        monkeypatch.setattr(sim, "run", no_training)
+        assert main(["sim", "--baseline", "bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: baseline must be one of ('soc', 'fixmatch', 'soft'), "
+            "got 'bogus'\n")
+
     def test_config_not_json(self, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text("{")
         assert main(["sim", "--config", str(config)]) == EXIT_USAGE
 
     def test_deeply_nested_config_exits_usage(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         deep = "[" * 100_000 + "]" * 100_000
         config = tmp_path / "deep.json"
         for text in (deep, '{"sim": %s}' % deep):
@@ -886,7 +896,7 @@ class TestSim:
                 assert err.count("\n") == 1
 
     def test_unreadable_config_exits_usage(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
 
         def assert_cannot_read(path, reason):
             for command in ("sim", "entropy-sweep"):
@@ -950,7 +960,7 @@ class TestOutputPath:
         assert sorted(tmp_path.iterdir()) == [log, out]
 
     def test_sim_out_and_pairs_out(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         metrics, pairs = tmp_path / "metrics.csv", tmp_path / "pairs.csv"
         metrics.write_text("kept\n")
         for path in self.bad_paths(tmp_path):
@@ -960,6 +970,17 @@ class TestOutputPath:
                     ["sim", "--out", str(out), "--pairs-out", path], path, capsys)
         assert list(tmp_path.iterdir()) == [metrics]
         assert metrics.read_text() == "kept\n"
+
+    def test_sim_out_and_pairs_out_name_one_file(self, tmp_path, capsys, monkeypatch):
+        # The pairs would overwrite the metrics.
+        monkeypatch.setattr(sim, "run", no_training)
+        (tmp_path / "sub").mkdir()
+        out = str(tmp_path / "out.csv")
+        for pairs in (out, str(tmp_path / "sub" / ".." / "out.csv")):
+            assert main(["sim", "--out", out, "--pairs-out", pairs]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"config error: --out and --pairs-out both name {pairs}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
 
 def full_disk(full_path: str):
@@ -1021,7 +1042,7 @@ class TestEntropySweep:
 
     def test_non_soc_config_exits_before_training(self, tmp_path, monkeypatch, capsys):
         # Only soc tracks class transitions; another arm's ledger stays empty.
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         config = tmp_path / "fixmatch.json"
         for baseline in ("fixmatch", "soft"):
             config.write_text(json.dumps({"sim": {"baseline": baseline}}))
@@ -1032,7 +1053,7 @@ class TestEntropySweep:
                 f"config error: entropy-sweep needs baseline 'soc', got '{baseline}'\n")
 
     def test_k_out_of_range_exits_before_training(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         for ks, bad in (("2,50", 50), ("1", 1)):
             assert main(["entropy-sweep", "--ks", ks]) == EXIT_USAGE
             assert capsys.readouterr().err == f"error: k={bad} outside [2, 32]\n"
@@ -1048,11 +1069,22 @@ class TestVerify:
         assert capsys.readouterr().out == "uniform_mass: 50/50 pass\n"
 
     def test_unknown_suite(self, capsys):
-        # argparse rejects it against the registered suites.
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "nonsense"])
-        assert exc.value.code == EXIT_USAGE
-        assert "invalid choice: 'nonsense'" in capsys.readouterr().err
+        # verify.run_suite rejects it against the registered suites.
+        assert main(["verify", "nonsense"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unknown suite 'nonsense' (choose from "
+            f"{', '.join(verify.SUITES)}, all)\n")
+
+    def test_run_suite_rejects_bad_arguments(self):
+        # Before any suite runs: a run of no trials would pass.
+        with pytest.raises(UnknownSuite, match="unknown suite 'nonsense'"):
+            verify.run_suite("nonsense")
+        for name in ("lemma1", "uniform_mass", "cluster", "all"):
+            for trials in (0, -3):
+                with pytest.raises(ValueError, match=f"trials must be positive, got {trials}"):
+                    verify.run_suite(name, trials=trials)
 
     def test_trials_reach_krange(self, monkeypatch, capsys):
         # krange's trials are its confidence grid's size.
@@ -1075,6 +1107,38 @@ class TestVerify:
             assert captured.err == f"config error: --trials must be positive, got {trials}\n"
 
 
+class TestImportBoundary:
+    """Each command imports only the layers it runs: select and cluster
+    load neither the simulator nor the verification suites, and verify
+    loads no simulator."""
+
+    # Runs the CLI on its arguments, then lists the soclabel modules loaded.
+    CHILD = (
+        "import sys\n"
+        "from soclabel import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('soclabel.')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(self, *argv) -> set:
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv], capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        return set(child.stderr.decode().split())
+
+    @pytest.mark.parametrize("command", ["select", "cluster"])
+    def test_select_and_cluster_skip_sim_and_verify(self, command):
+        loaded = self.loaded(command, TOY_LOG)
+        assert {"soclabel.cli", "soclabel.clustering", "soclabel.transitions"} <= loaded
+        assert not loaded & {"soclabel.sim", "soclabel.verify", "soclabel.losses"}
+
+    def test_verify_skips_sim(self):
+        loaded = self.loaded("verify", "lemma1", "--trials", "5")
+        assert "soclabel.verify" in loaded and "soclabel.sim" not in loaded
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ["select", TOY_LOG], ["cluster", TOY_LOG], ["verify", "lemma1", "--trials", "5"],
@@ -1087,7 +1151,8 @@ class TestClosedStdout:
             stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         child.stdout.close()
-        err = child.stderr.read()
+        with child.stderr:
+            err = child.stderr.read()
         assert child.wait() == EXIT_PIPE
         assert err == b""
 
@@ -1110,7 +1175,7 @@ class TestBadSeed:
 
     @pytest.mark.parametrize("command", sorted(ENTRY_POINTS))
     def test_negative_flag(self, command, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         # sim passes the flag on to its config's sim.seed.
         expected = "seed must be a non-negative integer, got -1" if command == "sim" else (
             "--seed must be a non-negative integer, got '-1'")
@@ -1118,7 +1183,7 @@ class TestBadSeed:
 
     @pytest.mark.parametrize("command", ["select", "cluster", "verify", "entropy-sweep"])
     def test_bad_soc_seed_env(self, command, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         for value in ("-2", "abc", "1.5", ""):
             monkeypatch.setenv("SOC_SEED", value)
             self.assert_usage_error(self.ENTRY_POINTS[command], capsys,
@@ -1126,7 +1191,7 @@ class TestBadSeed:
 
     @pytest.mark.parametrize("command", ["sim", "entropy-sweep"])
     def test_bad_config_seed(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "run", no_training)
+        monkeypatch.setattr(sim, "run", no_training)
         config = tmp_path / "seed.json"
         for section, seed in (("sim", -1), ("sim", 1.5), ("sim", "0"), ("sim", True),
                               ("dataset", -1)):
