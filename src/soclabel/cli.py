@@ -275,15 +275,25 @@ def _open_out(path: str, mode: str = "w"):
         yield fh
 
 
-def _check_out(path: str) -> None:
-    """ConfigError unless path can be opened for writing, checked before
-    the work that writes it and without leaving a file: append mode keeps
-    an existing one, and a new one is removed again."""
-    existed = os.path.lexists(path)
-    with _open_out(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
+def _check_outs(outs: dict, ins: dict) -> None:
+    """ConfigError unless every output can be opened for writing and names
+    neither an input nor another output (compared by realpath), which
+    writing it would destroy. outs and ins map each flag to its path, or to
+    None when unset. Checked before the work that writes the outputs and
+    without leaving a file: append mode keeps an existing one, and a new
+    one is removed again."""
+    named = {os.path.realpath(path): flag for flag, path in ins.items() if path}
+    for flag, path in outs.items():
+        if not path:
+            continue
+        if (real := os.path.realpath(path)) in named:
+            raise ConfigError(f"{named[real]} and {flag} both name {path}")
+        named[real] = flag
+        existed = os.path.lexists(path)
+        with _open_out(path, "a"):
+            pass
+        if not existed:
+            os.remove(path)
 
 
 def cmd_select(args) -> int:
@@ -292,8 +302,7 @@ def cmd_select(args) -> int:
     seed = _default_seed(args)
     policy_cfg = _policy_config(args)
     _policy(policy_cfg)  # all but the bounds, which need the log's K
-    if args.out:
-        _check_out(args.out)
+    _check_outs({"--out": args.out}, {"the log": args.log})
     records, names, probs, n_classes = _read_log(args.log)
     ledger = _replay(records, n_classes, args.nb)
     ks = select_k(_policy(policy_cfg, n_classes), probs.max(axis=1))
@@ -388,10 +397,8 @@ def cmd_sim(args) -> int:
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
     config, spec = sim.config_from_dict(raw, overrides)
-    if args.pairs_out and os.path.realpath(args.pairs_out) == os.path.realpath(args.out):
-        raise ConfigError(f"--out and --pairs-out both name {args.pairs_out}")
-    for path in filter(None, (args.out, args.pairs_out)):
-        _check_out(path)
+    _check_outs({"--out": args.out, "--pairs-out": args.pairs_out},
+                {"--config": args.config})
     dataset = sim.generate_dataset(spec)
     state = sim.run(config, dataset)
     with _writing(args.out):
@@ -417,13 +424,11 @@ def _write_obj1_entropy_pairs(state, config, dataset, path) -> None:
     ks share the call, and every other step works row by row.
     """
     from . import sim
-    from .losses import softmax
 
-    blocks = lambda: (softmax(logits) for _, logits in
-                      sim.logit_blocks(state.model, dataset.x_unlabeled))
     with _open_out(path) as fh:
         fh.write("zobj1,entropy\n")
-        for rows, probs, targets, _ in sim.blocked_targets(blocks, config, state.ledger):
+        for rows, probs, targets, _ in sim.blocked_targets(
+                state.model, dataset.x_unlabeled, config, state.ledger):
             zobj1 = lb.obj1_score(probs, targets, dataset.y_unlabeled[rows])
             for z, h in zip(zobj1, lb.entropy(targets).tolist()):
                 fh.write(f"{z},{h}\n")
@@ -460,7 +465,8 @@ def cmd_entropy_sweep(args) -> int:
             raise InvalidK(f"k={k} outside [2, {spec.n_classes}]")
     dataset = sim.generate_dataset(spec)
     state = sim.run(config, dataset)
-    means = sim.entropy_vs_k(state.model, dataset, state.ledger, args.ks, seed=seed)
+    means = sim.entropy_vs_k(state.model, dataset.x_unlabeled, state.ledger, args.ks,
+                             seed=seed)
     for k, m in zip(args.ks, means):
         print(f"k={k} mean_entropy_sel={m}")
     return EXIT_OK

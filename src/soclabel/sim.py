@@ -270,23 +270,24 @@ def _soc_partitions(ks, config: SimConfig, ledger: TransitionLedger):
     return partitions(ledger.similarity_matrix(), ks, seed=config.seed + ledger.version)
 
 
-def blocked_targets(blocks, config: SimConfig, ledger: TransitionLedger):
-    """build_targets of each probability block that blocks() yields, with
-    the ks of all of their rows clustered once: yields (rows, probs,
-    targets, ks) per block, rows its slice of the whole.
+def blocked_targets(model: LinearModel, x: np.ndarray, config: SimConfig,
+                    ledger: TransitionLedger):
+    """build_targets of the softmax of each logit_blocks(model, x) block,
+    with the ks of all of x's rows clustered once: yields (rows, probs,
+    targets, ks) per block, rows its slice of x.
 
     A row's partition is its k's whichever other ks share the call, so each
     row's target is the one a build_targets call on all the rows at once
-    gives. blocks is called twice for soc (its ks, then its targets), once
-    for the baselines, which cluster nothing.
+    gives. soc walks x twice (its ks, then its targets), the baselines,
+    which cluster nothing, once.
     """
     if config.baseline == "soc":
-        ks = np.concatenate([_soc_ks(probs, config)[1] for probs in blocks()])
+        ks = np.concatenate([_soc_ks(softmax(logits), config)[1]
+                             for _, logits in logit_blocks(model, x)])
         labels_by_k, which = _soc_partitions(ks, config, ledger)
-    start = 0
-    for probs in blocks():
+    for start, logits in logit_blocks(model, x):
+        probs = softmax(logits)
         rows = slice(start, start + len(probs))
-        start = rows.stop
         clustered = (labels_by_k, which[rows]) if config.baseline == "soc" else None
         yield (rows, probs, *build_targets(probs, config, ledger, clustered))
 
@@ -388,29 +389,25 @@ def evaluate(state: SimState, config: SimConfig, dataset: Dataset) -> MetricsRow
         test_pred[start:start + len(logits)] = logits.argmax(axis=1)
     test_top1 = float((test_pred == dataset.y_test).mean())
 
-    # Every row's argmax, and the probabilities of the first n_eval rows.
-    n_eval = min(config.eval_subset, dataset.x_unlabeled.shape[0])
     pred = np.empty(dataset.y_unlabeled.size, dtype=np.intp)
-    probs = np.empty((n_eval, dataset.n_classes))
     for start, logits in logit_blocks(model, dataset.x_unlabeled):
-        block = softmax(logits)
-        pred[start:start + len(block)] = block.argmax(axis=1)
-        if start < n_eval:
-            probs[start:start + len(block)] = block[:n_eval - start]
+        pred[start:start + len(logits)] = softmax(logits).argmax(axis=1)
     pl_acc = float((pred == dataset.y_unlabeled).mean())
 
-    # Each row's target, entropies and objectives, block by block; the means
-    # are taken over the whole arrays, as a whole-set pass takes them.
+    # Each of the first n_eval rows' target, entropies and objectives, block
+    # by block; the means are taken over the whole arrays, as a whole-set
+    # pass takes them.
+    n_eval = min(config.eval_subset, dataset.x_unlabeled.shape[0])
     y_true = dataset.y_unlabeled[:n_eval]
     ks = np.empty(n_eval, dtype=int)
     ent_sel, ent_raw, zobj1 = np.empty(n_eval), np.empty(n_eval), np.empty(n_eval)
     zobj2 = np.empty(n_eval, dtype=np.intp)
-    blocks = lambda: (probs[lo:lo + EVAL_BLOCK] for lo in range(0, n_eval, EVAL_BLOCK))
-    for rows, block, targets, block_ks in blocked_targets(blocks, config, state.ledger):
+    for rows, probs, targets, block_ks in blocked_targets(
+            model, dataset.x_unlabeled[:n_eval], config, state.ledger):
         ks[rows] = block_ks
         ent_sel[rows] = lb.entropy(targets)
-        ent_raw[rows] = lb.entropy(block)
-        zobj1[rows] = lb.obj1_score(block, targets, y_true[rows])
+        ent_raw[rows] = lb.entropy(probs)
+        zobj1[rows] = lb.obj1_score(probs, targets, y_true[rows])
         zobj2[rows] = lb.obj2_score(targets)
 
     return MetricsRow(
@@ -472,19 +469,13 @@ def write_metrics_csv(history: list, path) -> None:
 
 
 def entropy_vs_k(
-    model: LinearModel,
-    dataset: Dataset,
-    ledger: TransitionLedger,
-    ks,
-    seed: int = 0,
-    subset: int | None = None,
+    model: LinearModel, x: np.ndarray, ledger: TransitionLedger, ks, seed: int = 0
 ) -> list[float]:
-    """Mean selected-label entropy over the unlabeled set for each fixed k,
+    """Mean selected-label entropy over the rows of x for each fixed k,
     against one frozen ledger. Every distinct k is clustered once, by
     clustering.partitions, into a lone k's partition; the rows are then
     taken EVAL_BLOCK at a time and restricted per k, so memory does not
     grow with len(ks)."""
-    x = dataset.x_unlabeled if subset is None else dataset.x_unlabeled[:subset]
     labels_by_k, which = partitions(ledger.similarity_matrix(), ks, seed)
     entropies = np.empty((len(ks), x.shape[0]))
     for start, logits in logit_blocks(model, x):

@@ -188,7 +188,7 @@ class TestDirectional:
     def test_entropy_vs_k_sweep(self, capsys, paired_runs):
         _, state, dataset, _ = paired_runs
         means = entropy_vs_k(
-            state.model, dataset, state.ledger, ks=(2, 4, 8, 16, 32), seed=0
+            state.model, dataset.x_unlabeled, state.ledger, ks=(2, 4, 8, 16, 32), seed=0
         )
         ok = all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
         report(

@@ -982,6 +982,31 @@ class TestOutputPath:
                 f"config error: --out and --pairs-out both name {pairs}\n")
         assert list(tmp_path.iterdir()) == [tmp_path / "sub"]
 
+    def test_select_out_names_the_log(self, tmp_path, capsys, monkeypatch):
+        # The output would replace the log it is read from.
+        monkeypatch.setattr(cli, "_read_log", no_training)
+        (tmp_path / "sub").mkdir()
+        log = tmp_path / "log.ndjson"
+        log.write_bytes(Path(TOY_LOG).read_bytes())
+        for out in (str(log), str(tmp_path / "sub" / ".." / "log.ndjson")):
+            assert main(["select", str(log), "--out", out]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"config error: the log and --out both name {out}\n")
+        assert log.read_bytes() == Path(TOY_LOG).read_bytes()
+
+    def test_sim_out_names_the_config(self, tmp_path, capsys, monkeypatch):
+        # The metrics or the pairs would replace the config.
+        monkeypatch.setattr(sim, "run", no_training)
+        config = tmp_path / "config.json"
+        config.write_text('{"sim": {"iters": 5}}\n')
+        for flag in ("--out", "--pairs-out"):
+            argv = ["sim", "--config", str(config), flag, str(config)]
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"config error: --config and {flag} both name {config}\n")
+        assert config.read_text() == '{"sim": {"iters": 5}}\n'
+        assert list(tmp_path.iterdir()) == [config]
+
 
 def full_disk(full_path: str):
     """open() on a disk where full_path takes no bytes: opening it works,
