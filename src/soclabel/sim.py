@@ -54,10 +54,15 @@ class SyntheticDatasetSpec:
         if type(self.seed) is not int or self.seed < 0:  # a bool is an int to Python
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         _check_field_types(self, ValueError)
+        if min(self.n_super, self.fine_per_super) < 1:
+            raise ValueError(
+                f"n_super and fine_per_super must be positive, got "
+                f"{self.n_super} and {self.fine_per_super}"
+            )
         if self.n_super * self.fine_per_super < 4:
             raise ValueError("need at least 4 fine classes")
-        if not self.intra_spread < self.inter_spread:
-            raise ValueError("intra_spread must be < inter_spread")
+        if not 0.0 <= self.intra_spread < self.inter_spread:
+            raise ValueError("need 0 <= intra_spread < inter_spread")
         counts = (self.dim, self.labels_per_class, self.unlabeled_per_class,
                   self.test_per_class)
         if min(counts) < 1:
@@ -97,8 +102,13 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     centers = np.repeat(super_centers, spec.fine_per_super, axis=0) + offsets
 
     def draw(per_class: int):
+        # Each class's rows are contiguous, so the centers are added in
+        # place through a (K, per_class, dim) view, and a split's draw
+        # holds no array the size of its rows but the rows themselves.
         y = np.repeat(np.arange(K), per_class)
-        x = centers[y] + rng.normal(size=(y.size, spec.dim))
+        x = rng.normal(size=(y.size, spec.dim))
+        v = x.reshape(K, per_class, spec.dim)
+        np.add(v, centers[:, None, :], out=v)
         return x, y
 
     x_lab, y_lab = draw(spec.labels_per_class)

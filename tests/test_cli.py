@@ -845,11 +845,27 @@ class TestSim:
             {"sim": {"window": 2.5}},
             {"sim": {"eval_every": 2.5}},
             {"dataset": {"n_super": 2.5}},
+            {"dataset": {"n_super": -2, "fine_per_super": -2}},
+            {"dataset": {"intra_spread": -5.0}},
         ):
             config.write_text(json.dumps(bad))
             assert main(["sim", "--config", str(config)]) == EXIT_USAGE, bad
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_negative_class_counts_exit_usage(self, tmp_path):
+        # Their product is 4 fine classes; the dataset's draw cannot
+        # shape them. A fresh interpreter shows any traceback a user would.
+        config = tmp_path / "negative.json"
+        config.write_text(json.dumps({"dataset": {"n_super": -2, "fine_per_super": -2}}))
+        done = subprocess.run(
+            [sys.executable, "-m", "soclabel.cli", "sim", "--config", str(config),
+             "--out", str(tmp_path / "metrics.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == ("config error: dataset: n_super and fine_per_super "
+                               "must be positive, got -2 and -2\n")
 
     def test_bad_policy_flags_exit_usage(self, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run", no_training)

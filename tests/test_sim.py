@@ -73,6 +73,67 @@ class TestDataset:
         with pytest.raises(ValueError):
             SyntheticDatasetSpec(intra_spread=5.0, inter_spread=1.0)
 
+    @pytest.mark.parametrize("bad", [
+        # Negative counts whose product is a valid class count.
+        {"n_super": -2, "fine_per_super": -2},
+        {"n_super": -1, "fine_per_super": -8},
+        # A negative intra_spread is below inter_spread yet gives offsets
+        # longer than it.
+        {"intra_spread": -5.0},
+        {"intra_spread": -0.1, "inter_spread": 3.0},
+    ])
+    def test_bad_counts_and_spreads_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SyntheticDatasetSpec(**bad)
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticDatasetSpec(),
+        SMALL_SPEC,
+        SyntheticDatasetSpec(n_super=40, fine_per_super=5, seed=7),
+        SyntheticDatasetSpec(unlabeled_per_class=1, labels_per_class=1, seed=2),
+    ], ids=["default", "small", "k200", "one-per-class"])
+    def test_draw_matches_gathered_centers(self, spec):
+        # The reference draws each split as centers[y] plus its noise, from
+        # the same seed: generate_dataset must give the same bits.
+        ds = generate_dataset(spec)
+        rng = np.random.default_rng(spec.seed)
+        K = spec.n_classes
+
+        def unit_rows(n):
+            v = rng.normal(size=(n, spec.dim))
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+        super_centers = unit_rows(spec.n_super) * spec.inter_spread
+        offsets = unit_rows(K) * spec.intra_spread
+        centers = np.repeat(super_centers, spec.fine_per_super, axis=0) + offsets
+        for per_class, x, y in (
+            (spec.labels_per_class, ds.x_labeled, ds.y_labeled),
+            (spec.unlabeled_per_class, ds.x_unlabeled, ds.y_unlabeled),
+            (spec.test_per_class, ds.x_test, ds.y_test),
+        ):
+            y_ref = np.repeat(np.arange(K), per_class)
+            x_ref = centers[y_ref] + rng.normal(size=(y_ref.size, spec.dim))
+            assert np.array_equal(y, y_ref)
+            assert x.dtype == x_ref.dtype and x.tobytes() == x_ref.tobytes()
+
+    def test_generate_dataset_peaks_at_its_arrays(self):
+        # K=200 holds 40,000 unlabeled rows (5.1 MB). Each split's centers
+        # are added in place, so the peak is the arrays themselves and the
+        # small center tables: 0.12 MB above them. Gathering centers[y] for
+        # each split put it 3.8 MB above them. numpy.random's first import
+        # is kept out of the trace.
+        np.random.default_rng(0)
+        spec = SyntheticDatasetSpec(n_super=40, fine_per_super=5)
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (ds.x_labeled, ds.y_labeled, ds.x_unlabeled,
+                                      ds.y_unlabeled, ds.x_test, ds.y_test))
+        assert peak - held < 500_000, (peak, held)
+
     def test_zero_intra_spread_collapses_fine_classes(self):
         spec = SyntheticDatasetSpec(
             n_super=2,
