@@ -2,9 +2,10 @@
 inspection, simulation runs, and invariant verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
-output file or stdout that cannot be opened or written, and an unreadable
-config file, included), 3 data error (an unreadable log included), 141
-stdout closed by its reader (128 + SIGPIPE, as shells report it).
+output file or stdout that cannot be opened or written, an unreadable
+config file, and a size too large to allocate, included), 3 data error
+(an unreadable log included), 141 stdout closed by its reader (128 +
+SIGPIPE, as shells report it).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import numpy as np
 # verify import the simulator and the suites when they run, so a select or
 # cluster process neither compiles nor executes them.
 from . import labels as lb
-from .clustering import BLOCK_ELEMENTS, candidate_mask, cluster_labels, partitions
+from .clustering import BLOCK_ELEMENTS, cluster_labels, partitions, select_rows
 from .errors import ConfigError, InvalidK, SchemaError, SocLabelError
-from .kselect import KPolicy, parse_config, select_k
+from .kselect import DEFAULT_CONFIG, DEFAULT_POLICY, KPolicy, parse_config, select_k
 from .transitions import DEFAULT_WINDOW, TransitionLedger
 
 LOG_SCHEMA = "soc-log-v1"
@@ -215,22 +216,16 @@ def _replay(records, n_classes: int, window: int) -> TransitionLedger:
     return ledger
 
 
-# The parameter flag a policy reads, and its value when the flag is unset.
-POLICY_FLAG = {"linear": ("alpha", 5.0), "exp": ("beta", 0.5), "fixed": ("k", None)}
-
-
 def _policy_flags(args) -> list[str]:
     """The parameter flags given: alpha, beta and k, as set."""
     return [key for key in ("alpha", "beta", "k") if getattr(args, key) is not None]
 
 
 def _policy_config(args) -> dict:
-    """The policy flags as a config's sim.k_policy object: --policy, linear
-    when unset, its own parameter, defaulted when unset, and every other
-    parameter flag given, which the policy's checks reject."""
-    policy = args.policy or "linear"
-    key, default = POLICY_FLAG[policy]
-    cfg = {"policy": policy, key: default}
+    """The policy flags as a config's sim.k_policy object: --policy, the
+    default policy when unset, its own parameter, defaulted when unset, and
+    every other parameter flag given, which the policy's checks reject."""
+    cfg = dict(DEFAULT_CONFIG[args.policy or DEFAULT_POLICY])
     cfg.update((flag, getattr(args, flag)) for flag in _policy_flags(args))
     return cfg
 
@@ -318,8 +313,7 @@ def cmd_select(args) -> int:
         for start in range(0, len(probs), step):
             rows = slice(start, start + step)
             pnorm = probs[rows]
-            mask = candidate_mask(labels_by_k, which[rows], pnorm.argmax(axis=1))
-            targets = lb.restrict(pnorm, mask)
+            targets, mask = select_rows(pnorm, labels_by_k, which[rows])
             for sample_id, k, keep, target, before, after in zip(
                 final_ids[rows], ks[rows].tolist(), mask, targets,
                 lb.entropy(pnorm).tolist(), lb.entropy(targets).tolist(),
@@ -485,9 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_policy_flags(p):
         # Unset flags stay None, so a flag the policy does not read shows.
-        p.add_argument("--policy", choices=list(POLICY_FLAG), default=None)
-        p.add_argument("--alpha", type=float, default=None, help="linear (default 5)")
-        p.add_argument("--beta", type=float, default=None, help="exp (default 0.5)")
+        p.add_argument("--policy", choices=list(DEFAULT_CONFIG), default=None)
+        p.add_argument("--alpha", type=float, default=None,
+                       help=f"linear (default {DEFAULT_CONFIG['linear']['alpha']:g})")
+        p.add_argument("--beta", type=float, default=None,
+                       help=f"exp (default {DEFAULT_CONFIG['exp']['beta']:g})")
         p.add_argument("--k", type=int, default=None, help="fixed")
         p.add_argument("--seed", type=int, default=None)
 
@@ -566,6 +562,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SocLabelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -167,16 +167,11 @@ def select_targets(
     ks: np.ndarray,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster-restricted soft labels for a batch of normalized predictions.
-
-    Row i keeps the classes that share a cluster with its argmax under a
-    k-medoids partition into ks[i] clusters, then renormalizes. Clusters
-    every distinct k in one cluster_labels pass. Returns (targets, mask),
-    both (n, K).
+    """Cluster-restricted soft labels for a batch of normalized predictions:
+    select_rows over the partitions of ks, every distinct k clustered in
+    one cluster_labels pass. Returns (targets, mask), both (n, K).
     """
-    labels_by_k, which = partitions(sim, ks, seed)
-    mask = candidate_mask(labels_by_k, which, pnorm.argmax(axis=1))
-    return restrict(pnorm, mask), mask
+    return select_rows(pnorm, *partitions(sim, ks, seed))
 
 
 def partitions(sim: np.ndarray, ks, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +192,13 @@ def partitions(sim: np.ndarray, ks, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return labels_by_k, row[ks]
 
 
-def candidate_mask(labels_by_k: np.ndarray, which, top: np.ndarray) -> np.ndarray:
-    """(n, K) mask of the classes that share a cluster with class top[i] in
-    partition labels_by_k[which[i]]; a scalar which is that row for every i."""
-    return labels_by_k[which] == labels_by_k[which, top][:, None]
+def select_rows(
+    pnorm: np.ndarray, labels_by_k: np.ndarray, which
+) -> tuple[np.ndarray, np.ndarray]:
+    """The selection step: row i keeps the classes that share a cluster with
+    its argmax in partition labels_by_k[which[i]], then renormalizes. A
+    scalar which is that partition for every row. Returns (targets, mask),
+    both (n, K)."""
+    top = pnorm.argmax(axis=1)
+    mask = labels_by_k[which] == labels_by_k[which, top][:, None]
+    return restrict(pnorm, mask), mask

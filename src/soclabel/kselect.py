@@ -67,6 +67,12 @@ class KPolicy:
 
 # Each variant's one parameter.
 PARAMETER = {"linear": "alpha", "exponential": "beta", "fixed": "k"}
+# Each CLI policy name's config object, its parameter at its default (fixed's
+# k has none), and the policy of a run config or a CLI call that names none.
+DEFAULT_CONFIG = {"linear": {"policy": "linear", "alpha": 5.0},
+                  "exp": {"policy": "exp", "beta": 0.5},
+                  "fixed": {"policy": "fixed", "k": None}}
+DEFAULT_POLICY = "linear"
 
 
 def parse_config(cfg: dict) -> tuple[str, float | int]:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import labels as lb
-from .clustering import candidate_mask, partitions
+from .clustering import partitions, select_rows
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
-from .kselect import KPolicy, select_k
+from .kselect import DEFAULT_CONFIG, DEFAULT_POLICY, KPolicy, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
 from .transitions import DEFAULT_WINDOW, TransitionLedger
 
@@ -265,8 +265,7 @@ def build_targets(
     pnorm, ks = _soc_ks(probs, config)
     if clustered is None:
         clustered = _soc_partitions(ks, config, ledger)
-    mask = candidate_mask(*clustered, pnorm.argmax(axis=1))
-    return lb.restrict(pnorm, mask), ks
+    return select_rows(pnorm, *clustered)[0], ks
 
 
 def _soc_ks(probs: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -484,16 +483,15 @@ def entropy_vs_k(
     """Mean selected-label entropy over the rows of x for each fixed k,
     against one frozen ledger. Every distinct k is clustered once, by
     clustering.partitions, into a lone k's partition; the rows are then
-    taken EVAL_BLOCK at a time and restricted per k, so memory does not
-    grow with len(ks)."""
+    taken EVAL_BLOCK at a time and selected per k by clustering.select_rows,
+    so memory does not grow with len(ks)."""
     labels_by_k, which = partitions(ledger.similarity_matrix(), ks, seed)
     entropies = np.empty((len(ks), x.shape[0]))
     for start, logits in logit_blocks(model, x):
         probs = softmax(logits)
         pnorm = probs / probs.sum(axis=1, keepdims=True)
-        top = pnorm.argmax(axis=1)
         for row, part in enumerate(which.tolist()):
-            targets = lb.restrict(pnorm, candidate_mask(labels_by_k, part, top))
+            targets, _ = select_rows(pnorm, labels_by_k, part)
             entropies[row, start:start + len(pnorm)] = lb.entropy(targets)
     # Each k's mean over its own contiguous row, as a lone k's run takes it.
     return [float(np.mean(row)) for row in entropies]
@@ -521,7 +519,7 @@ def config_from_dict(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
     sim_raw = {**raw.get("sim", {}), **(overrides or {})}
-    policy_raw = sim_raw.pop("k_policy", {"policy": "linear", "alpha": 5.0})
+    policy_raw = sim_raw.pop("k_policy", DEFAULT_CONFIG[DEFAULT_POLICY])
     try:
         policy = KPolicy.from_config(policy_raw, spec.n_classes)
     except (KeyError, TypeError, ValueError, InvalidK) as exc:

@@ -165,6 +165,7 @@ def paired_runs():
     return scores, keep_state, dataset0, elapsed
 
 
+@pytest.mark.slow
 class TestDirectional:
     def test_soc_beats_baselines(self, capsys, paired_runs):
         scores, _, _, elapsed = paired_runs

@@ -576,6 +576,7 @@ def load_loggen():
     return module
 
 
+@pytest.mark.slow
 def test_read_log_memory_stays_near_the_final_step(tmp_path):
     # K=200, 1000 ids x 10 steps: the final step's rows take 1.6 MB, a
     # stack of the whole log 16 MB.
@@ -602,6 +603,7 @@ def read_side_memory(path: str) -> tuple[int, int]:
         tracemalloc.stop()
 
 
+@pytest.mark.slow
 def test_read_side_memory_per_record(tmp_path):
     # 1000 ids over 10 and over 40 steps. What a record costs does not
     # depend on K (its probabilities are dropped once checked, and the
@@ -621,6 +623,7 @@ def test_read_side_memory_per_record(tmp_path):
     assert live < 40 and peak < 100, (live, peak)
 
 
+@pytest.mark.slow
 def test_select_memory_grows_with_the_final_rows_only(tmp_path):
     # K=200, 3 steps: 3000 more final ids add 4.8 MB of probability rows.
     # Targets, masks and entropies are built a block at a time, so the
@@ -866,6 +869,17 @@ class TestSim:
         assert done.returncode == EXIT_USAGE
         assert done.stderr == ("config error: dataset: n_super and fine_per_super "
                                "must be positive, got -2 and -2\n")
+
+    def test_allocation_too_large_exits_usage(self, tmp_path, capsys):
+        # 8 super-class centers of 10**15 float64s: numpy is refused the
+        # 56.8 PiB at once, before any training.
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"dataset": {"dim": 10**15}}))
+        argv = ["sim", "--config", str(config), "--out", str(tmp_path / "metrics.csv")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (Unable to allocate 56.8 PiB")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
 
     def test_bad_policy_flags_exit_usage(self, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run", no_training)

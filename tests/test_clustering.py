@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclabel import clustering
-from soclabel.clustering import _assign, cluster_labels, partitions, select_targets
+from soclabel.clustering import _assign, cluster_labels, partitions, select_rows, select_targets
 from soclabel.errors import EmptyBatch, InvalidK
 from soclabel.transitions import MAX_SIM, TransitionLedger
 
@@ -420,10 +420,21 @@ class TestPickCandidates:
         # One row per (k, query class), mixed k within the batch.
         ks = np.repeat([2, 3, 5, 10], 10)
         queries = np.tile(np.arange(10), 4)
-        targets, mask = select_targets(peaked(queries, 10), sim, ks, seed=1)
+        probs = peaked(queries, 10)
+        targets, mask = select_targets(probs, sim, ks, seed=1)
         assert mask[np.arange(40), queries].all()
         assert np.allclose(targets.sum(axis=1), 1.0)
-        for k in (2, 3, 5, 10):
+        # The selection step over two uneven row slices gives the same bits.
+        labels_by_k, which = partitions(sim, ks, 1)
+        for rows in (slice(0, 13), slice(13, 40)):
+            got_targets, got_mask = select_rows(probs[rows], labels_by_k, which[rows])
+            assert np.array_equal(got_targets, targets[rows])
+            assert np.array_equal(got_mask, mask[rows])
+        for part, k in enumerate((2, 3, 5, 10)):
+            # So does one k's rows with its partition as a scalar which.
+            got_targets, got_mask = select_rows(probs[ks == k], labels_by_k, part)
+            assert np.array_equal(got_targets, targets[ks == k])
+            assert np.array_equal(got_mask, mask[ks == k])
             # The rows that share k cover exactly the clusters of k alone.
             blocks = {frozenset(np.flatnonzero(row).tolist()) for row in mask[ks == k]}
             assert blocks == set(clusters_of(cluster_labels(sim, [k], seed=1)[0][0], k))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soclabel import clustering
+from soclabel import cli, clustering
 from soclabel.clustering import select_targets
 from soclabel.errors import ConfigError
 from soclabel.kselect import KPolicy
@@ -530,6 +530,9 @@ class TestConfigParsing:
         config, spec = config_from_dict({})
         assert spec.n_classes == 32
         assert config.k_policy.variant == "linear"
+        # The policy the CLI builds when no policy flag is given.
+        args = cli.build_parser().parse_args(["select", "LOG"])
+        assert config.k_policy == cli._policy(cli._policy_config(args), spec.n_classes)
 
     def test_bad_policy(self):
         with pytest.raises(ConfigError):
