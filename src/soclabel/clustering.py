@@ -15,12 +15,13 @@ from .errors import EmptyBatch, InvalidK
 from .labels import restrict
 
 
-# The element budget of each temporary (rows, K) array of the lockstep
-# pass, of its medoid gather and of `soclabel select`'s output blocks:
-# 2**14 float64s, 128 KiB, glibc's default mmap threshold. Larger blocks
-# are served from the heap and leave it grown: on a K=200 log, `select`'s
-# resident memory crept from 41.3 to 42.7 MB across four 256-row output
-# blocks, and stayed flat with 64-row ones.
+# The element budget of each group of `cluster_labels` (its medoid gather,
+# and each temporary (clusters, K) array of its lockstep pass) and of
+# `soclabel select`'s output blocks: 2**14 float64s, 128 KiB, glibc's
+# default mmap threshold. Larger blocks are served from the heap and leave
+# it grown: on a K=200 log, `select`'s resident memory crept from 41.3 to
+# 42.7 MB across four 256-row output blocks, and stayed flat with 64-row
+# ones. One partition larger than the budget is taken whole.
 BLOCK_ELEMENTS = 2**14
 
 
@@ -32,20 +33,6 @@ def _assign(sim: np.ndarray, medoids) -> np.ndarray:
     medoids = np.asarray(medoids)
     picked = sim.take(medoids.ravel(), axis=1)
     return picked.reshape(sim.shape[0], *medoids.shape).argmax(axis=-1)
-
-
-def _assign_rows(sim: np.ndarray, medoids: np.ndarray) -> np.ndarray:
-    """_assign of every medoid row, transposed to (rows, K). The gather
-    spans K x (rows x width) values; beyond BLOCK_ELEMENTS it is taken
-    max(1, BLOCK_ELEMENTS // (K * width)) rows at a time. At K=32 a
-    training call's fits in one, taken without the concatenate copy,
-    which cost 4% of such a call."""
-    rows, width = medoids.shape
-    per = max(1, BLOCK_ELEMENTS // (sim.shape[0] * width))
-    if per >= rows:
-        return _assign(sim, medoids).T
-    return np.concatenate([_assign(sim, medoids[lo:lo + per]) for lo in range(0, rows, per)],
-                          axis=1).T
 
 
 def cluster_labels(
@@ -76,18 +63,21 @@ def cluster_labels(
     ValueError. Then every within-cluster sum is an exact integer in any
     order, and each medoid stays in its own cluster, so no cluster empties.
 
-    Lockstep: every k runs in the same pass. The matrix is checked once,
-    and every k is seeded from the same permutation. Each k's medoid row
-    is padded to the largest k with a sentinel column of -inf similarity,
-    which no argmax picks and which sorts after every class. Matrix
-    products update the medoids of every k; their one-hots span only the
-    sum(ks) real clusters, since no class joins a padded one, taken
-    BLOCK_ELEMENTS // K at a time. Every k
-    iterates until all are fixed. A k at its fixed point maps to itself,
-    so the passes after it leave its row as a pass over that k alone
-    would have stopped it, and the rules above apply to each cluster on
-    its own, with exact sums: row r is the same whichever other ks share
-    the call.
+    Lockstep: the ks run in groups of max(1, BLOCK_ELEMENTS // (K *
+    max(ks))) consecutive rows, one pass per group. The matrix is checked
+    once, and every k is seeded from the same permutation. Each k's medoid
+    row is padded to the largest k with a sentinel column of -inf
+    similarity, which no argmax picks and which sorts after every class.
+    Matrix products update the medoids of a group's ks; their one-hots
+    span only its real clusters, since no class joins a padded one. So a
+    group's gather and its product each span at most BLOCK_ELEMENTS
+    values, or one partition's K x max(ks) when that is larger: a k above
+    BLOCK_ELEMENTS // K (81 at K=200) takes its product whole. Every k of
+    a group iterates until all of the group are fixed. A k at its fixed
+    point maps to itself, so the passes after it leave its row as a pass
+    over that k alone would have stopped it, and the rules above apply to
+    each cluster on its own, with exact sums: row r is the same whichever
+    other ks share the call or its group.
     """
     sim = np.asarray(sim, dtype=float)
     n = sim.shape[0]
@@ -99,10 +89,10 @@ def cluster_labels(
     if ks.dtype.kind not in "iu":
         # A cast would run k=2.5 as k=2.
         raise InvalidK(f"k={ks[0].item()!r} is not an integer (ks of dtype {ks.dtype})")
-    ks = ks.astype(np.intp, copy=False)
-    for k in ks.tolist():
+    for k in ks.tolist():  # before the cast, which wraps a uint64 2**63
         if not 2 <= k <= n:
             raise InvalidK(f"k={k} outside [2, {n}]")
+    ks = ks.astype(np.intp, copy=False)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -128,37 +118,40 @@ def cluster_labels(
 
     kmax = int(ks.max())
     real = np.arange(kmax) < ks[:, None]
-    # (rows[q], cols[q]) is the q-th real cluster: cluster cols[q] of
-    # partition rows[q]. Padded clusters would stay empty, so the member
-    # one-hot leaves them out.
-    rows, cols = np.nonzero(real)
-    # The pass over them takes BLOCK_ELEMENTS // n clusters at a time; at
-    # K=32 a training call's clusters fit in one block.
-    step = max(1, BLOCK_ELEMENTS // n)
-    blocks = [(rows[lo:lo + step], cols[lo:lo + step]) for lo in range(0, rows.size, step)]
     # Row r: the first ks[r] entries of one permutation, sorted, then n.
     first = np.random.default_rng(seed).permutation(n)[:kmax]
     medoids = np.sort(np.where(real, first, n), axis=1)
-    # assignment[r, c] is class c's cluster in partition r.
-    assignment = _assign_rows(padded, medoids)
-    for _ in range(max_iter):
-        new = np.full_like(medoids, n)
-        for block_rows, block_cols in blocks:
-            # member[q, c]: class c is in real cluster q. within[q, c] is its
-            # similarity sum over that cluster if it is a member, else -inf;
-            # argmax takes a row's first maximum, the lowest index.
-            member = assignment[block_rows] == block_cols[:, None]
-            within = np.where(member, member @ sim_zero_diag.T, -np.inf)
-            new[block_rows, block_cols] = within.argmax(axis=1)
-        new.sort(axis=1)
-        converged = (new == medoids).all(axis=1)
-        if converged.all():
-            break
-        medoids = new
-        assignment = _assign_rows(padded, medoids)
-    # At max_iter, the latest assignment, and a row is converged if its
-    # last pass left it fixed.
-    return assignment, medoids, converged
+    labels = np.empty((ks.size, n), dtype=np.intp)
+    converged = np.empty(ks.size, dtype=bool)
+    # Groups of `per` consecutive rows, each run to its own fixed point.
+    per = max(1, BLOCK_ELEMENTS // (n * kmax))
+    for lo in range(0, ks.size, per):
+        group = slice(lo, lo + per)
+        # (rows[q], cols[q]) is the q-th real cluster: cluster cols[q] of
+        # the group's partition rows[q]. Padded clusters would stay empty,
+        # so the member one-hot leaves them out.
+        rows, cols = np.nonzero(real[group])
+        current = medoids[group]
+        # assignment[r, c] is class c's cluster in the group's partition r.
+        assignment = _assign(padded, current).T
+        for _ in range(max_iter):
+            new = np.full_like(current, n)
+            # member[q, c]: class c is in real cluster q. A member scores its
+            # similarity sum over that cluster, any other class -inf; argmax
+            # takes a row's first maximum, the lowest index. The scores are
+            # not kept, so a pass never holds the last pass's.
+            member = assignment[rows] == cols[:, None]
+            new[rows, cols] = np.where(member, member @ sim_zero_diag.T, -np.inf).argmax(axis=1)
+            new.sort(axis=1)
+            fixed = (new == current).all(axis=1)
+            if fixed.all():
+                break
+            current = new
+            assignment = _assign(padded, current).T
+        # At max_iter, the latest assignment, and a row is converged if its
+        # last pass left it fixed.
+        labels[group], medoids[group], converged[group] = assignment, current, fixed
+    return labels, medoids, converged
 
 
 def select_targets(

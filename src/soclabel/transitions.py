@@ -64,13 +64,14 @@ class TransitionLedger:
         for name, values in (("ids", ids), ("preds", preds)):
             if values.size and values.dtype.kind not in "iu":
                 raise TypeError(f"{name} must be integers, got {values.dtype}")
-        ids = ids.astype(np.intp, copy=False)
-        preds = preds.astype(np.int64, copy=False)
         if ids.shape != preds.shape:
             raise ValueError("need one prediction per id")
+        # Checked in the given dtype: the int64 cast wraps a uint64 2**63.
         bad = (preds < 0) | (preds >= self.n_classes)
         if bad.any():
-            raise InvalidClass(f"class {preds[bad.argmax()]} >= K={self.n_classes}")
+            raise InvalidClass(f"class {preds[bad.argmax()]} outside [0, {self.n_classes})")
+        ids = ids.astype(np.intp, copy=False)
+        preds = preds.astype(np.int64, copy=False)
         n_ids = self.last_pred.size
         if ids.size and (ids.min() < 0 or ids.max() >= n_ids):
             raise ValueError(f"sample id outside [0, {n_ids})")

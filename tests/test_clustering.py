@@ -300,9 +300,8 @@ class TestClusterLabels:
     @settings(max_examples=30, deadline=None)
     def test_sliced_passes(self, K, kind, data_seed, seed, per_frac, ascending):
         # A budget of `per` rows of K elements, with per below the number
-        # of real clusters, so below len(ks) * max(ks): every lockstep pass
-        # and every medoid gather take several slices, and each row is
-        # still its k's alone.
+        # of real clusters, so below len(ks) * max(ks): every call takes
+        # several groups, and each row is still its k's alone.
         rng = np.random.default_rng(data_seed)
         if kind == "ledger":
             sim = ledger_similarity(rng, K, 512, int(rng.integers(1, 513)))
@@ -317,6 +316,25 @@ class TestClusterLabels:
         with mock.patch.object(clustering, "BLOCK_ELEMENTS", per * K):
             for max_iter in (1, 2, 3, 100):
                 self.assert_rows_match_reference(sim, ks, seed, max_iter)
+
+    @pytest.mark.parametrize("K, ks, budgets", [
+        # One group by default. 7 ks up to k=8 in groups of 1, and of 2
+        # with a short last group.
+        (32, [5, 2, 8, 3, 7, 4, 6], (32 * 8, 2 * 32 * 8)),
+        # About a training call's ks: 9 groups of 2 by default, here one.
+        (200, [17, 4, 26, 9, 2, 12, 21, 6, 28, 3, 14, 8, 19, 5, 24, 11, 7], (10**9,)),
+    ])
+    def test_groups_equal_the_default_call(self, K, ks, budgets):
+        # A partial window, on which these ks stop after 2 to 4 passes.
+        sim = ledger_similarity(np.random.default_rng(K), K, 512, 150)
+        for seed, max_iter in itertools.product((0, 1), (1, 2, 3, 100)):
+            default = cluster_labels(sim, ks, seed, max_iter)
+            for budget in budgets:
+                with mock.patch.object(clustering, "BLOCK_ELEMENTS", budget):
+                    grouped = cluster_labels(sim, ks, seed, max_iter)
+                for want, got in zip(default, grouped):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+            self.assert_rows_match_reference(sim, ks, seed, max_iter)
 
     def test_empty_cluster_raises(self):
         # Under a zero diagonal each class could leave its own medoid, and
@@ -361,8 +379,9 @@ class TestClusterLabels:
 
     def test_invalid_k_in_any_row(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
-        for ks in ([2, 5], [1, 3], [3, 0]):
-            with pytest.raises(InvalidK):
+        for ks, shown in (([2, 5], 5), ([1, 3], 1), ([3, 0], 0),
+                          (np.array([3, 2**63], dtype=np.uint64), 2**63)):
+            with pytest.raises(InvalidK, match=rf"^k={shown} outside \[2, 4\]$"):
                 cluster_labels(sim, ks, seed=0)
 
 

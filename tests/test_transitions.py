@@ -46,8 +46,15 @@ class TestObserveBatch:
 
     def test_invalid_class(self):
         ledger = make(n_classes=4)
-        with pytest.raises(InvalidClass):
-            observe(ledger, [(A, 4)])
+        for preds, shown in (
+            ([4], "4"),
+            ([-1], "-1"),
+            # The int64 cast would wrap it to -9223372036854775808.
+            (np.array([2**63], dtype=np.uint64), "9223372036854775808"),
+        ):
+            with pytest.raises(InvalidClass, match=rf"^class {shown} outside \[0, 4\)$"):
+                ledger.observe_batch([A], preds)
+        assert ledger.version == 0
 
     def test_non_integer_ids_and_preds_rejected(self):
         # A cast would record classes 1 and 2 here, and id 0.5 as id 0.
