@@ -91,19 +91,6 @@ def _parse_record(line: str, lineno: int, n_classes, index: dict):
     return index.setdefault(sample_id, len(index)), step, probs
 
 
-def _check_keys(table, through=None) -> None:
-    """Raise the duplicate (id, step) error of the first record whose
-    (step, ledger id) an earlier record has, unless there is none or its
-    line comes after line `through`. table is a (4, n) int64 array of
-    each record's step, ledger id, argmax and line number, in file order."""
-    steps, ids, _, lines = table
-    order = np.lexsort((steps, ids))  # stable: a key's records stay in file order
-    steps, ids = steps[order], ids[order]
-    again = order[1:][(steps[1:] == steps[:-1]) & (ids[1:] == ids[:-1])]
-    if again.size and (through is None or lines[again.min()] <= through):
-        raise SchemaError(f"line {lines[again.min()]}: duplicate (id, step)")
-
-
 def _read_log(path: str):
     """Parse an NDJSON prediction log into
     (records, names, final_probs, n_classes).
@@ -119,11 +106,11 @@ def _read_log(path: str):
     is read. Its probabilities then wait in a block of up to READ_BLOCK
     rows, which is normalized, checked by labels.check_rows and reduced to
     argmaxes in one pass. Repeated (id, step) keys are found by one sort
-    of every record's key, at the end of the read. A block and the keys
-    are checked before any later line's error is raised, so the error is
-    always the first bad line's, with the message a record-by-record check
-    gives; within a line a repeated key comes after its K and before its
-    shape and probabilities.
+    of every record's key, at the end of the read. Each check records the
+    first error it finds, with its line and a rank: 0 for a repeated key,
+    1 for any other error. A line's own error, or a block's, ends the
+    read, and the error of the least (line, rank) is raised: always the
+    first bad line's, with the message a record-by-record check gives.
     """
     parts = []  # (4, n) per checked block: step, ledger id, argmax, line number
     final_parts = []
@@ -131,6 +118,7 @@ def _read_log(path: str):
     n_classes = None
     index = {}
     block = []  # (lineno, ledger id, step, probs) of the rows awaiting their check
+    errors = []  # (line, rank, SchemaError) of each check's first error
 
     def check_block():
         nonlocal top_step, final_parts
@@ -147,8 +135,9 @@ def _read_log(path: str):
         try:
             lb.check_rows(rows)
         except lb.InvalidRow as exc:
-            _check_keys(np.concatenate(parts, axis=1), through=linenos[exc.row])
-            raise SchemaError(f"line {linenos[exc.row]}: bad probabilities ({exc})") from exc
+            line = linenos[exc.row]
+            errors.append((line, 1, SchemaError(f"line {line}: bad probabilities ({exc})")))
+            return
         part[2] = rows.argmax(axis=1)
         high = max(steps)
         if top_step is None or high > top_step:
@@ -156,12 +145,6 @@ def _read_log(path: str):
         keep = part[0] == top_step
         if keep.any():
             final_parts.append(rows[keep])
-
-    def check_read():
-        """Raise the first error among the records read, if there is one."""
-        check_block()
-        if parts:
-            _check_keys(np.concatenate(parts, axis=1))
 
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -171,28 +154,40 @@ def _read_log(path: str):
                     continue
                 try:
                     ledger_id, step, probs = _parse_record(line, lineno, n_classes, index)
-                except SchemaError:
-                    check_read()
-                    raise
+                except SchemaError as exc:
+                    errors.append((lineno, 1, exc))
+                    break
                 if probs.ndim != 1:
-                    # A repeated key comes before the shape, so this line's
-                    # key joins the records read.
+                    # The waiting rows first, so the keys stay in file
+                    # order; this line's key may repeat an earlier one.
                     check_block()
                     parts.append(np.array([[step], [ledger_id], [0], [lineno]]))
-                    check_read()
-                    raise SchemaError(f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")
+                    errors.append((lineno, 1, SchemaError(
+                        f"line {lineno}: bad probabilities ({lb.NOT_A_VECTOR})")))
+                    break
                 n_classes = probs.size
                 block.append((lineno, ledger_id, step, probs))
                 if len(block) == READ_BLOCK:
                     check_block()
+                    if errors:
+                        break
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc.strerror}") from exc
     check_block()
-    if not parts:
-        raise SchemaError("log contains no records")
-    table = np.concatenate(parts, axis=1)
+    table = np.concatenate(parts, axis=1) if parts else np.empty((4, 0), dtype=np.int64)
     parts.clear()  # before the sort, which would otherwise add to its peak
-    _check_keys(table)
+    steps, ids = table[:2]
+    order = np.lexsort((steps, ids))  # stable: a key's records stay in file order
+    steps, ids = steps[order], ids[order]
+    again = order[1:][(steps[1:] == steps[:-1]) & (ids[1:] == ids[:-1])]
+    if again.size:
+        first = table[3, again.min()]  # its line number
+        errors.append((first, 0, SchemaError(f"line {first}: duplicate (id, step)")))
+    del order, steps, ids, again  # before the copy, which would otherwise add to its peak
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
+    if not table.size:
+        raise SchemaError("log contains no records")
     records = table[:3].copy()  # without the line numbers
     del table  # before the final rows are stacked
     return records, list(index), np.concatenate(final_parts), n_classes
@@ -439,6 +434,8 @@ def cmd_verify(args) -> int:
     for res in results:
         status = "pass" if res.ok else "FAIL"
         print(f"{res.name}: {res.passed}/{res.total} {status}")
+        for detail in res.failures:
+            print(f"  {detail}")
         failed |= not res.ok
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 

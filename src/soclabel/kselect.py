@@ -78,9 +78,9 @@ DEFAULT_POLICY = "linear"
 def parse_config(cfg: dict) -> tuple[str, float | int]:
     """The (variant, parameter) of a parsed config object such as
     {"policy": "linear", "alpha": 5}, with every check that needs no K:
-    TypeError unless cfg is a dict whose parameter is a number other than
-    NaN (an integer for fixed), ValueError for an unknown policy or a key
-    the policy does not read. The bounds need K and are KPolicy's."""
+    TypeError unless cfg is a dict whose parameter is a finite number (an
+    integer for fixed), ValueError for an unknown policy or a key the
+    policy does not read. The bounds need K and are KPolicy's."""
     if not isinstance(cfg, dict):
         raise TypeError(f"expected an object, got {cfg!r}")
     name = cfg.get("policy")
@@ -96,8 +96,8 @@ def parse_config(cfg: dict) -> tuple[str, float | int]:
         if type(value) is not int:  # a bool is an int to Python
             raise TypeError(f"k must be an integer, got {value!r}")
         return variant, value
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
-        raise TypeError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"{key} must be a finite number, got {value!r}")
     return variant, float(value)
 
 

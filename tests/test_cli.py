@@ -22,6 +22,7 @@ from soclabel.cli import (
     EXIT_OK,
     EXIT_PIPE,
     EXIT_USAGE,
+    EXIT_VERIFY_FAIL,
     LOG_SCHEMA,
     READ_BLOCK,
     _read_log,
@@ -66,7 +67,8 @@ class TestSelect:
     def test_bad_policy_exits_usage(self, capsys):
         for command in ("select", "cluster"):
             for flags in (["--policy", "fixed"], ["--policy", "fixed", "--k", "9"],
-                          ["--alpha", "1.0"], ["--alpha", "nan"]):
+                          ["--alpha", "1.0"], ["--alpha", "nan"], ["--alpha", "inf"],
+                          ["--policy", "exp", "--beta=-inf"]):
                 assert main([command, TOY_LOG, *flags]) == EXIT_USAGE
                 err = capsys.readouterr().err
                 assert err.startswith("config error: --policy "), (command, flags, err)
@@ -78,7 +80,10 @@ class TestSelect:
         monkeypatch.setattr(cli, "_read_log", no_training)
         for command, flags, message in (
             ("select", ["--policy", "fixed"], "fixed: k must be an integer, got None"),
-            ("select", ["--alpha", "nan"], "linear: alpha must be a number, got nan"),
+            ("select", ["--alpha", "nan"], "linear: alpha must be a finite number, got nan"),
+            ("select", ["--alpha", "inf"], "linear: alpha must be a finite number, got inf"),
+            ("cluster", ["--policy", "exp", "--beta=-inf"],
+             "exp: beta must be a finite number, got -inf"),
             ("select", ["--k", "2"], "linear: policy linear reads alpha, not k"),
             ("select", ["--policy", "exp", "--alpha", "3"], "exp: policy exp reads beta, not alpha"),
             ("select", ["--policy", "fixed", "--k", "3", "--beta", "0.3"],
@@ -334,15 +339,23 @@ class TestLogErrors:
 
     def test_repeat_comes_before_shape_and_probabilities(self, tmp_path):
         # A line that repeats an earlier (id, step) fails as a repeat even
-        # when its probabilities are also bad; a repeat after a bad row in
-        # the same block leaves the bad row's error first.
+        # when its probabilities are also bad; a bad row waiting in the
+        # block comes before a later line's shape or repeat.
         line = '{"schema": "soc-log-v1", "id": "a", "step": 0, "probs": %s}'
         good, bad = line % "[0.5, 0.5]", line % "[-1.0, 2.0]"
+        bad_b = bad.replace('"a"', '"b"')
+        nested = '{"schema": "soc-log-v1", "id": "%s", "step": 0, "probs": [[0.5, 0.5]]}'
         log = tmp_path / "repeat.ndjson"
         for lines, message in (
             ([good, line % "[[0.5, 0.5]]"], "line 2: duplicate (id, step)"),
             ([good, bad], "line 2: duplicate (id, step)"),
             ([bad, good], "line 1: bad probabilities (probabilities must be non-negative)"),
+            # A waiting bad row comes before a later line's shape, and
+            # before a later line's repeat of an earlier key.
+            ([good, bad_b, nested % "c"], "line 2: bad probabilities "
+                                          "(probabilities must be non-negative)"),
+            ([good, bad_b, nested % "a"], "line 2: bad probabilities "
+                                          "(probabilities must be non-negative)"),
         ):
             log.write_text("\n".join(lines) + "\n")
             for read in (_read_log, reference_read_log):
@@ -832,6 +845,9 @@ class TestSim:
             {"sim": {"k_policy": 5}},
             {"sim": {"k_policy": {"policy": "linear", "alpha": None}}},
             {"sim": {"k_policy": {"policy": "fixed", "k": 2.7}}},
+            # Python's json reads Infinity and -Infinity as floats.
+            {"sim": {"k_policy": {"policy": "linear", "alpha": math.inf}}},
+            {"sim": {"k_policy": {"policy": "exp", "beta": -math.inf}}},
             # A key the policy does not read.
             {"sim": {"k_policy": {"policy": "linear", "alpha": 5, "beta": 0.3}}},
             {"sim": {"iters": 1.5}},
@@ -893,6 +909,7 @@ class TestSim:
             (["--policy", "fixed"], "k must be an integer, got None"),
             (["--policy", "linear", "--alpha", "1.0"], "alpha must be >= K/(K-2)"),
             (["--policy", "fixed", "--k", "3", "--alpha", "5"], "policy fixed reads k, not alpha"),
+            (["--policy", "linear", "--alpha", "inf"], "alpha must be a finite number, got inf"),
         ):
             assert main(["sim", *flags]) == EXIT_USAGE
             err = capsys.readouterr().err
@@ -1158,6 +1175,19 @@ class TestVerify:
         assert main(["verify", "krange", "--trials", "5", "--seed", "3"]) == EXIT_OK
         assert calls == [{"trials": 5, "seed": 3}]
         assert capsys.readouterr().out == "krange: 1/1 pass\n"
+
+    def test_failures_are_printed(self, monkeypatch, capsys):
+        # Each kept failure detail follows its FAIL line, indented.
+        def failing(**kwargs):
+            res = verify.SuiteResult("krange", 0, 0)
+            for ok, detail in ((True, None), (False, "k=1 at conf 0.5"), (False, 0.25)):
+                res.record(ok, detail)
+            return res
+
+        monkeypatch.setitem(verify.SUITES, "krange", failing)
+        assert main(["verify", "krange"]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr().out == (
+            "krange: 1/3 FAIL\n  k=1 at conf 0.5\n  0.25\n")
 
     def test_trials_below_one_exits_usage(self, capsys):
         for suite, trials in (("lemma1", "-3"), ("cluster", "0")):

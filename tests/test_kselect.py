@@ -162,8 +162,14 @@ def test_from_config():
     assert KPolicy.from_config({"policy": "fixed", "k": 7}, 200).k == 7
     with pytest.raises(ValueError):
         KPolicy.from_config({"policy": "nope"}, 200)
-    # A key the policy does not read, and a NaN parameter, need no K.
+    # A key the policy does not read, and a NaN or infinite parameter,
+    # need no K.
     with pytest.raises(ValueError, match="policy linear reads alpha, not k"):
         parse_config({"policy": "linear", "alpha": 5.0, "k": 3})
-    with pytest.raises(TypeError, match="beta must be a number, got nan"):
-        parse_config({"policy": "exp", "beta": float("nan")})
+    for cfg, message in (
+        ({"policy": "exp", "beta": math.nan}, "beta must be a finite number, got nan"),
+        ({"policy": "linear", "alpha": math.inf}, "alpha must be a finite number, got inf"),
+        ({"policy": "exp", "beta": -math.inf}, "beta must be a finite number, got -inf"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            parse_config(cfg)
