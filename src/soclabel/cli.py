@@ -365,6 +365,8 @@ def _load_config(path):
         raise ConfigError(f"config is not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ConfigError(f"config has a number too long to read ({exc})") from exc
     except RecursionError as exc:
         raise ConfigError(f"config nests too deeply ({exc})") from exc
 

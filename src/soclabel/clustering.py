@@ -154,19 +154,6 @@ def cluster_labels(
     return labels, medoids, converged
 
 
-def select_targets(
-    pnorm: np.ndarray,
-    sim: np.ndarray,
-    ks: np.ndarray,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster-restricted soft labels for a batch of normalized predictions:
-    select_rows over the partitions of ks, every distinct k clustered in
-    one cluster_labels pass. Returns (targets, mask), both (n, K).
-    """
-    return select_rows(pnorm, *partitions(sim, ks, seed))
-
-
 def partitions(sim: np.ndarray, ks, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(labels_by_k, which): the cluster_labels partitions of the distinct
     ks, ascending, and which[i], the row of ks[i] among them. Rows may then

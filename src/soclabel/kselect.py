@@ -96,9 +96,20 @@ def parse_config(cfg: dict) -> tuple[str, float | int]:
         if type(value) is not int:  # a bool is an int to Python
             raise TypeError(f"k must be an integer, got {value!r}")
         return variant, value
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not finite_number(value):
         raise TypeError(f"{key} must be a finite number, got {value!r}")
     return variant, float(value)
+
+
+def finite_number(value) -> bool:
+    """Whether value is an int or a float, not a bool, that converts to a
+    finite float: an int of 400 digits does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def select_k(policy: KPolicy, confidence) -> np.ndarray:

@@ -16,21 +16,21 @@ import numpy as np
 from . import labels as lb
 from .clustering import partitions, select_rows
 from .errors import ConfigError, DivergedAtIteration, EmptyBatch, InvalidK
-from .kselect import DEFAULT_CONFIG, DEFAULT_POLICY, KPolicy, select_k
+from .kselect import DEFAULT_CONFIG, DEFAULT_POLICY, KPolicy, finite_number, select_k
 from .losses import cross_entropy_terms, fixmatch_weights, one_hot, softmax
 from .transitions import DEFAULT_WINDOW, TransitionLedger
 
 
 def _check_field_types(obj, error) -> None:
     """Raise error unless every int field of the dataclass obj holds a
-    plain int (not a bool, not a float) and every float field a finite
-    real. A float window, say, would never evict."""
+    plain int (not a bool, not a float) and every float field a number
+    that converts to a finite float. A float window, say, would never
+    evict."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type == "int" and type(value) is not int:
             raise error(f"{f.name} must be an integer, got {value!r}")
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if f.type == "float" and not (real and math.isfinite(value)):
+        if f.type == "float" and not finite_number(value):
             raise error(f"{f.name} must be a finite number, got {value!r}")
 
 
@@ -67,6 +67,13 @@ class SyntheticDatasetSpec:
                   self.test_per_class)
         if min(counts) < 1:
             raise ValueError("dim and the per-class sample counts must be positive")
+        # The largest split's rows, K x per-class count x dim float64s, must
+        # fit one numpy array: np.repeat crashes the process on a count of
+        # 2**62. A split just inside the bound fails as a MemoryError.
+        limit = np.iinfo(np.intp).max
+        if self.n_classes * max(counts[1:]) * self.dim * 8 > limit:
+            raise ValueError("the largest split, K x per-class count x dim float64s, "
+                             f"exceeds numpy's largest array ({limit} bytes)")
 
     @property
     def n_classes(self) -> int:
@@ -178,6 +185,8 @@ class SimConfig:
                 "batch_size, mu, iters, window, eval_every and eval_subset "
                 "must be positive"
             )
+        if not finite_number(self.iters):  # cosine_lr divides a float by it
+            raise ConfigError("iters must convert to a finite float")
 
 
 @dataclass
@@ -435,29 +444,44 @@ def cosine_lr(config: SimConfig, t: int) -> float:
     return config.lr * 0.5 * (1.0 + math.cos(math.pi * t / config.iters))
 
 
-def run(config: SimConfig, dataset: Dataset, state: SimState | None = None) -> SimState:
-    """Full training run with periodic evaluation; returns the final state
-    with its metrics history."""
-    if state is None:
-        state = init_state(config, dataset)
+def train_steps(config: SimConfig, dataset: Dataset, state: SimState):
+    """The training loop: one soc_step per iteration, from state.iteration
+    until config.iters, each yielding its total loss. Each step draws its
+    batches from state.rng_data and takes warmup and cosine_lr at
+    state.iteration, so a stopped state continues as an unbroken run would.
+
+    Raises ConfigError, before any step, if config.k_policy is for another
+    class count than the dataset's.
+    """
+    if config.k_policy.n_classes != dataset.n_classes:
+        raise ConfigError(f"k_policy is for K={config.k_policy.n_classes}, "
+                          f"the dataset has K={dataset.n_classes}")
     n_lab = dataset.x_labeled.shape[0]
     n_ulb = dataset.x_unlabeled.shape[0]
     warmup = warmup_iters(config, dataset)
-
-    for t in range(config.iters):
+    while state.iteration < config.iters:
         lab_idx = state.rng_data.choice(n_lab, size=config.batch_size, replace=False)
         ulb_idx = state.rng_data.choice(
             n_ulb, size=config.mu * config.batch_size, replace=False
         )
-        soc_step(
+        yield soc_step(
             state,
             (dataset.x_labeled[lab_idx], dataset.y_labeled[lab_idx]),
             (ulb_idx, dataset.x_unlabeled[ulb_idx]),
             config,
-            in_warmup=t < warmup,
-            lr=cosine_lr(config, t),
+            in_warmup=state.iteration < warmup,
+            lr=cosine_lr(config, state.iteration),
         )
-        if (t + 1) % config.eval_every == 0 or t + 1 == config.iters:
+
+
+def run(config: SimConfig, dataset: Dataset, state: SimState | None = None) -> SimState:
+    """Train from state.iteration (a fresh state without one) to
+    config.iters, evaluating every eval_every iterations and at the end;
+    returns the final state with its metrics history."""
+    if state is None:
+        state = init_state(config, dataset)
+    for _ in train_steps(config, dataset, state):
+        if state.iteration % config.eval_every == 0 or state.iteration == config.iters:
             state.history.append(evaluate(state, config, dataset))
     return state
 

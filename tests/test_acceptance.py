@@ -15,14 +15,12 @@ from soclabel.cli import EXIT_OK, main
 from soclabel.sim import (
     SimConfig,
     SyntheticDatasetSpec,
-    cosine_lr,
     entropy_vs_k,
     final_score,
     generate_dataset,
     init_state,
     run,
-    soc_step,
-    warmup_iters,
+    train_steps,
 )
 from soclabel.verify import (
     suite_cluster,
@@ -101,25 +99,9 @@ class TestGradients:
         report(capsys, "gradient check", res.ok, f"{res.passed}/{res.total}")
 
 
-def _loss_trace(config, dataset, iters):
-    """Per-iteration total losses for a manual training loop."""
-    state = init_state(config, dataset)
-    w = warmup_iters(config, dataset)
-    n_lab = dataset.x_labeled.shape[0]
-    n_ulb = dataset.x_unlabeled.shape[0]
-    totals = []
-    for t in range(iters):
-        li = state.rng_data.choice(n_lab, config.batch_size, replace=False)
-        ui = state.rng_data.choice(n_ulb, config.mu * config.batch_size, replace=False)
-        totals.append(soc_step(
-            state,
-            (dataset.x_labeled[li], dataset.y_labeled[li]),
-            (ui, dataset.x_unlabeled[ui]),
-            config,
-            in_warmup=t < w,
-            lr=cosine_lr(config, t),
-        ))
-    return np.array(totals)
+def _loss_trace(config, dataset):
+    """Per-iteration total losses of a training run."""
+    return np.array(list(train_steps(config, dataset, init_state(config, dataset))))
 
 
 class TestDegeneration:
@@ -129,11 +111,8 @@ class TestDegeneration:
         soc = _loss_trace(
             default_config(k_policy=KPolicy.fixed(K_DEFAULT, K_DEFAULT), iters=iters),
             dataset,
-            iters,
         )
-        hard = _loss_trace(
-            default_config(baseline="fixmatch", tau=0.0, iters=iters), dataset, iters
-        )
+        hard = _loss_trace(default_config(baseline="fixmatch", tau=0.0, iters=iters), dataset)
         diff = float(np.abs(soc - hard).max())
         report(
             capsys,

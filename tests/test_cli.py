@@ -893,14 +893,59 @@ class TestSim:
 
     def test_allocation_too_large_exits_usage(self, tmp_path, capsys):
         # 8 super-class centers of 10**15 float64s: numpy is refused the
-        # 56.8 PiB at once, before any training.
+        # 56.8 PiB at once, before any training. The largest split, 32 x 5
+        # rows of them, fits a numpy array, so the spec is accepted.
         config = tmp_path / "huge.json"
-        config.write_text(json.dumps({"dataset": {"dim": 10**15}}))
+        config.write_text(json.dumps({"dataset": {
+            "dim": 10**15, "labels_per_class": 1, "unlabeled_per_class": 5,
+            "test_per_class": 1}}))
         argv = ["sim", "--config", str(config), "--out", str(tmp_path / "metrics.csv")]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory (Unable to allocate 56.8 PiB")
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+    def test_numbers_too_large_exit_usage(self, tmp_path, capsys, monkeypatch):
+        # Each crashed with a traceback and exit 1: an int too large for a
+        # float, an int beyond Python's 4300-digit limit, and a split too
+        # large for any numpy array.
+        monkeypatch.setattr(sim, "generate_dataset", no_training)
+        big = 10**400
+        config = tmp_path / "big.json"
+        for text, message in (
+            (json.dumps({"sim": {"lr": big}}), "lr must be a finite number"),
+            (json.dumps({"sim": {"tau": big}}), "tau must be a finite number"),
+            (json.dumps({"sim": {"k_policy": {"policy": "linear", "alpha": big}}}),
+             "sim.k_policy: alpha must be a finite number"),
+            (json.dumps({"sim": {"k_policy": {"policy": "exp", "beta": big}}}),
+             "sim.k_policy: beta must be a finite number"),
+            (json.dumps({"dataset": {"intra_spread": big}}),
+             "dataset: intra_spread must be a finite number"),
+            (json.dumps({"sim": {"iters": big}}), "iters must convert to a finite float"),
+            ('{"sim": {"iters": 1%s}}' % ("0" * 5000,), "config has a number too long to read"),
+            (json.dumps({"dataset": {"dim": big}}), "dataset: the largest split"),
+            (json.dumps({"dataset": {"dim": 2**62}}), "dataset: the largest split"),
+            (json.dumps({"dataset": {"n_super": big}}), "dataset: the largest split"),
+        ):
+            config.write_text(text)
+            assert main(["sim", "--config", str(config)]) == EXIT_USAGE, message
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
+    def test_split_beyond_numpy_exits_usage(self, tmp_path):
+        # np.repeat crashed the process on this count (exit 139), so it
+        # runs in a fresh interpreter: a regression fails this test alone.
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps({"dataset": {"test_per_class": 2**62}}))
+        done = subprocess.run(
+            [sys.executable, "-m", "soclabel.cli", "sim", "--config", str(config),
+             "--out", str(tmp_path / "metrics.csv")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert done.stderr == (
+            "config error: dataset: the largest split, K x per-class count x dim "
+            f"float64s, exceeds numpy's largest array ({np.iinfo(np.intp).max} bytes)\n")
 
     def test_bad_policy_flags_exit_usage(self, capsys, monkeypatch):
         monkeypatch.setattr(sim, "run", no_training)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soclabel import clustering
-from soclabel.clustering import _assign, cluster_labels, partitions, select_rows, select_targets
+from soclabel.clustering import _assign, cluster_labels, partitions, select_rows
 from soclabel.errors import EmptyBatch, InvalidK
 from soclabel.transitions import MAX_SIM, TransitionLedger
 
@@ -394,13 +394,13 @@ class TestClusterLabels:
             with pytest.raises(InvalidK, match="is not an integer"):
                 partitions(sim, ks, seed=0)
             with pytest.raises(InvalidK, match="is not an integer"):
-                select_targets(peaked([0] * len(ks), 4), sim, ks, seed=0)
+                select_rows(peaked([0] * len(ks), 4), *partitions(sim, ks, seed=0))
 
     def test_empty_ks_rejected(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
         for call in (lambda: cluster_labels(sim, [], seed=0),
                      lambda: partitions(sim, np.array([], dtype=int), seed=0),
-                     lambda: select_targets(np.empty((0, 4)), sim, [], seed=0)):
+                     lambda: select_rows(np.empty((0, 4)), *partitions(sim, [], seed=0))):
             with pytest.raises(EmptyBatch, match="ks is empty"):
                 call()
 
@@ -413,18 +413,18 @@ def peaked(argmaxes, n):
 
 
 class TestPickCandidates:
-    """Candidate sets as select_targets builds them: the classes sharing a
+    """Candidate sets as select_rows over partitions builds them: the classes sharing a
     cluster with the row's argmax."""
 
     def test_membership(self):
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
-        targets, mask = select_targets(peaked([3, 0], 4), sim, [2, 2], seed=0)
+        targets, mask = select_rows(peaked([3, 0], 4), *partitions(sim, [2, 2], seed=0))
         assert mask.tolist() == [[False, False, True, True], [True, True, False, False]]
         assert targets[0] == pytest.approx([0.0, 0.0, 0.25, 0.75])
 
     def test_singleton(self):
         sim = sim_with_blocks((), 8)
-        targets, mask = select_targets(peaked([7], 8), sim, [8], seed=0)
+        targets, mask = select_rows(peaked([7], 8), *partitions(sim, [8], seed=0))
         assert np.flatnonzero(mask[0]).tolist() == [7]
         assert targets[0].tolist() == [0.0] * 7 + [1.0]
 
@@ -432,7 +432,7 @@ class TestPickCandidates:
         sim = sim_with_blocks(({0, 1}, {2, 3}), 4)
         for ks, bad in (([2, 6, 5], 5), ([3, 0, -1, 9], -1), ([4, 1], 1)):
             with pytest.raises(InvalidK, match=f"k={bad} outside"):
-                select_targets(peaked([0] * len(ks), 4), sim, ks, seed=0)
+                select_rows(peaked([0] * len(ks), 4), *partitions(sim, ks, seed=0))
 
     def test_always_contains_query(self):
         sim = symmetric(np.random.default_rng(3).integers(0, 10, size=(10, 10)))
@@ -440,7 +440,7 @@ class TestPickCandidates:
         ks = np.repeat([2, 3, 5, 10], 10)
         queries = np.tile(np.arange(10), 4)
         probs = peaked(queries, 10)
-        targets, mask = select_targets(probs, sim, ks, seed=1)
+        targets, mask = select_rows(probs, *partitions(sim, ks, seed=1))
         assert mask[np.arange(40), queries].all()
         assert np.allclose(targets.sum(axis=1), 1.0)
         # The selection step over two uneven row slices gives the same bits.

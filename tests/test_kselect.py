@@ -140,7 +140,7 @@ class TestArraySelectK:
 def test_mean_candidate_size_non_increasing_in_k():
     # Larger k means finer clusters, so the average candidate-set size
     # over a fixed similarity matrix shrinks (weakly).
-    from soclabel.clustering import select_targets
+    from soclabel.clustering import partitions, select_rows
     from soclabel.transitions import MAX_SIM
 
     raw = np.random.default_rng(5).integers(0, 10, size=(16, 16))
@@ -151,7 +151,7 @@ def test_mean_candidate_size_non_increasing_in_k():
     np.fill_diagonal(probs, 0.5)
     means = []
     for k in (2, 4, 8, 16):
-        _, mask = select_targets(probs, sim, np.full(16, k), seed=0)
+        _, mask = select_rows(probs, *partitions(sim, np.full(16, k), seed=0))
         means.append(mask.sum(axis=1).mean())
     assert all(b <= a for a, b in zip(means, means[1:]))
 
@@ -162,14 +162,16 @@ def test_from_config():
     assert KPolicy.from_config({"policy": "fixed", "k": 7}, 200).k == 7
     with pytest.raises(ValueError):
         KPolicy.from_config({"policy": "nope"}, 200)
-    # A key the policy does not read, and a NaN or infinite parameter,
-    # need no K.
+    # A key the policy does not read, and a NaN, infinite or overflowing
+    # parameter, need no K.
     with pytest.raises(ValueError, match="policy linear reads alpha, not k"):
         parse_config({"policy": "linear", "alpha": 5.0, "k": 3})
     for cfg, message in (
         ({"policy": "exp", "beta": math.nan}, "beta must be a finite number, got nan"),
         ({"policy": "linear", "alpha": math.inf}, "alpha must be a finite number, got inf"),
         ({"policy": "exp", "beta": -math.inf}, "beta must be a finite number, got -inf"),
+        # An int too large for a float, which math.isfinite cannot take.
+        ({"policy": "linear", "alpha": 10**400}, "alpha must be a finite number, got 1000"),
     ):
         with pytest.raises(TypeError, match=message):
             parse_config(cfg)

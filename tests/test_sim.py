@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import hashlib
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from soclabel import cli, clustering
-from soclabel.clustering import select_targets
+from soclabel.clustering import partitions, select_rows
 from soclabel.errors import ConfigError
 from soclabel.kselect import KPolicy
 from soclabel.labels import entropy, obj1_score, obj2_score
@@ -22,15 +23,13 @@ from soclabel.sim import (
     augment,
     build_targets,
     config_from_dict,
-    cosine_lr,
     entropy_vs_k,
     evaluate,
     final_score,
     generate_dataset,
     init_state,
     run,
-    soc_step,
-    warmup_iters,
+    train_steps,
     write_metrics_csv,
 )
 
@@ -261,24 +260,8 @@ class TestTrainingLoop:
         K = ds.n_classes
         a_cfg = small_config(k_policy=KPolicy.fixed(K, K))
         b_cfg = small_config(baseline="fixmatch", tau=0.0)
-        reports = {}
-        for name, cfg in (("soc", a_cfg), ("hard", b_cfg)):
-            state = init_state(cfg, ds)
-            w = warmup_iters(cfg, ds)
-            totals = []
-            n_lab, n_ulb = ds.x_labeled.shape[0], ds.x_unlabeled.shape[0]
-            for t in range(cfg.iters):
-                li = state.rng_data.choice(n_lab, cfg.batch_size, replace=False)
-                ui = state.rng_data.choice(n_ulb, cfg.mu * cfg.batch_size, replace=False)
-                totals.append(soc_step(
-                    state,
-                    (ds.x_labeled[li], ds.y_labeled[li]),
-                    (ui, ds.x_unlabeled[ui]),
-                    cfg,
-                    in_warmup=t < w,
-                    lr=cosine_lr(cfg, t),
-                ))
-            reports[name] = totals
+        reports = {name: list(train_steps(cfg, ds, init_state(cfg, ds)))
+                   for name, cfg in (("soc", a_cfg), ("hard", b_cfg))}
         diffs = np.abs(np.array(reports["soc"]) - np.array(reports["hard"]))
         assert diffs.max() <= 1e-9
 
@@ -362,7 +345,7 @@ class TestTrainingLoop:
 
     def test_entropy_vs_k_equals_one_k_at_a_time(self):
         # The single pass over every k gives each k's mean bit for bit as
-        # a lone k's select_targets run, repeated ks included.
+        # a lone k's selection, repeated ks included.
         ds = generate_dataset(SMALL_SPEC)
         state = run(small_config(iters=200, eval_every=100), ds)
         ks = (8, 2, 3, 2, 5)
@@ -371,7 +354,7 @@ class TestTrainingLoop:
         pnorm = probs / probs.sum(axis=1, keepdims=True)
         sim = state.ledger.similarity_matrix()
         for k, mean in zip(ks, means):
-            targets, _ = select_targets(pnorm, sim, np.full(150, k), seed=4)
+            targets, _ = select_rows(pnorm, *partitions(sim, np.full(150, k), seed=4))
             assert mean == float(np.mean(entropy(targets)))
 
     def test_final_score_is_tail_mean(self):
@@ -379,6 +362,59 @@ class TestTrainingLoop:
         state = run(small_config(), ds)
         tail = [r.test_top1 for r in state.history[-3:]]
         assert final_score(state.history) == pytest.approx(np.mean(tail))
+
+
+def state_bits(state):
+    """What later steps and evaluations of a SimState read, as comparable
+    values: the iteration, the model and its velocities, the ledger and
+    both RNG states."""
+    ledger = state.ledger
+    arrays = (state.model.weights, state.model.bias, state.vel_w, state.vel_b,
+              ledger.running_sum, ledger.last_pred, *ledger.window)
+    return (state.iteration, ledger.version, [a.tobytes() for a in arrays],
+            state.rng_data.bit_generator.state, state.rng_aug.bit_generator.state)
+
+
+class TestResume:
+    """run on a stopped state continues as the unbroken run would. The
+    small config warms up for 8 steps (64 labeled samples in batches of 8)
+    and evaluates every 40 of its 120."""
+
+    @pytest.mark.parametrize("stop", [1, 5, 53], ids=["first-step", "in-warmup", "past-warmup"])
+    def test_stopped_state_continues_as_the_straight_run(self, stop):
+        ds = generate_dataset(SMALL_SPEC)
+        cfg = small_config()
+        straight = run(cfg, ds)
+        state = init_state(cfg, ds)
+        assert len(list(itertools.islice(train_steps(cfg, ds, state), stop))) == stop
+        assert state.iteration == stop and state.history == []
+        resumed = run(cfg, ds, state)
+        assert state_bits(resumed) == state_bits(straight)
+        assert resumed.history == [row for row in straight.history if row.iter > stop]
+
+    def test_finished_state_takes_no_step(self):
+        ds = generate_dataset(SMALL_SPEC)
+        cfg = small_config(iters=40)
+        state = run(cfg, ds)
+        before, rows = state_bits(state), list(state.history)
+        assert list(train_steps(cfg, ds, state)) == []
+        assert run(cfg, ds, state) is state
+        assert state_bits(state) == before and state.history == rows
+
+    @pytest.mark.parametrize("policy", [KPolicy.linear(2.0, 4), KPolicy.linear(5.0, 200)],
+                             ids=["smaller-K", "larger-K"])
+    def test_policy_for_another_k_rejected_before_any_step(self, policy):
+        # On K=8, the first trained with k capped at 4; the second failed
+        # mid-run once a batch chose k=9.
+        ds = generate_dataset(SMALL_SPEC)
+        cfg = small_config(k_policy=policy)
+        state = init_state(cfg, ds)
+        before = state_bits(state)
+        message = f"k_policy is for K={policy.n_classes}, the dataset has K=8"
+        for call in (lambda: run(cfg, ds, state), lambda: next(train_steps(cfg, ds, state))):
+            with pytest.raises(ConfigError, match=message):
+                call()
+            assert state_bits(state) == before and state.history == []
 
 
 def whole_array_evaluate(state, config, ds) -> MetricsRow:
@@ -492,7 +528,7 @@ class TestBlockedEvaluate:
             assert evaluated == [sorted(set(ks.tolist()))], subset
 
     def test_entropy_vs_k_equals_the_whole_array_pass(self):
-        # Three blocks, the last one short, against one select_targets call
+        # Three blocks, the last one short, against one selection
         # on a copy of every row per k.
         ds = generate_dataset(self.SPEC)
         state = run(small_config(iters=150, eval_every=150), ds)
@@ -500,8 +536,8 @@ class TestBlockedEvaluate:
         pnorm = softmax(ds.x_unlabeled @ state.model.weights.T + state.model.bias)
         pnorm /= pnorm.sum(axis=1, keepdims=True)
         n = len(pnorm)
-        targets, _ = select_targets(np.tile(pnorm, (len(ks), 1)),
-                                    state.ledger.similarity_matrix(), np.repeat(ks, n), seed=4)
+        targets, _ = select_rows(np.tile(pnorm, (len(ks), 1)), *partitions(
+            state.ledger.similarity_matrix(), np.repeat(ks, n), seed=4))
         entropies = entropy(targets)
         assert entropy_vs_k(state.model, ds.x_unlabeled, state.ledger, ks=ks, seed=4) == [
             float(np.mean(entropies[r * n:(r + 1) * n])) for r in range(len(ks))]
@@ -515,7 +551,7 @@ class TestBlockedEvaluate:
         assert peaks[1] - peaks[0] < 2_000_000, peaks
 
     def test_entropy_vs_k_memory_does_not_grow_with_the_number_of_ks(self):
-        # One select_targets call per block on a copy of the block per k
+        # One selection per block on a copy of the block per k
         # peaked at 20.7 MB for 5 ks and 74.2 MB for 20.
         peaks = [
             self.k200_peaks(lambda state, config, ds: entropy_vs_k(
@@ -553,6 +589,31 @@ class TestConfigParsing:
         for raw in ({"sim": None}, {"sim": [["iters", 5]]}, {"dataset": [["seed", 1]]},
                     [["sim", {}]], None):
             with pytest.raises(ConfigError, match="must be objects"):
+                config_from_dict(raw)
+
+    def test_largest_split_bounded_by_numpy(self):
+        # 32 classes of 200 unlabeled rows: the bound's dim makes an array
+        # of at most the largest intp bytes, one more exceeds it. Only the
+        # spec is built; no dataset is drawn.
+        dim = np.iinfo(np.intp).max // (32 * 200 * 8)
+        assert config_from_dict({"dataset": {"dim": dim}})[1].dim == dim
+        for dataset in ({"dim": dim + 1}, {"unlabeled_per_class": 2**62},
+                        {"n_super": 10**400}):
+            with pytest.raises(ConfigError, match="dataset: the largest split"):
+                config_from_dict({"dataset": dataset})
+
+    def test_numbers_beyond_float_range_rejected(self):
+        # math.isfinite raised OverflowError on these.
+        big = 10**400
+        for raw, message in (
+            ({"sim": {"lr": big}}, "lr must be a finite number"),
+            ({"sim": {"lambda_cos": -big}}, "lambda_cos must be a finite number"),
+            ({"sim": {"iters": big}}, "iters must convert to a finite float"),
+            ({"sim": {"k_policy": {"policy": "linear", "alpha": big}}},
+             "sim.k_policy: alpha must be a finite number"),
+            ({"dataset": {"inter_spread": big}}, "dataset: inter_spread must be a finite number"),
+        ):
+            with pytest.raises(ConfigError, match=message):
                 config_from_dict(raw)
 
     def test_overrides_replace_sim_fields(self):
